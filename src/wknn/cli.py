@@ -79,10 +79,13 @@ def _parse_grid_floats(text: str) -> list[float]:
 def _parse_k_rule(text: str) -> KRule:
     text = str(text).strip()
     kind, _, arg = text.partition(":")
-    if kind == "const" and arg:
-        return const_k(int(arg))
-    if kind == "power" and arg:
-        return power_k(float(arg))
+    try:
+        if kind == "const" and arg:
+            return const_k(int(arg))
+        if kind == "power" and arg:
+            return power_k(float(arg))
+    except ValueError as exc:
+        raise InvalidInputError(f"bad k rule argument {arg!r} in {text!r}") from exc
     raise InvalidInputError(f"bad k rule {text!r}; expected const:K or power:ALPHA")
 
 
@@ -422,6 +425,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
+        if args.threads < 1:
+            raise InvalidInputError(f"--threads must be at least 1, got {args.threads}")
         return _HANDLERS[args.command](args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

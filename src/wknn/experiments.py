@@ -371,7 +371,10 @@ class KRule:
     fn: Callable[[int], int]
 
     def __call__(self, m: int) -> int:
-        k = int(self.fn(m))
+        try:
+            k = int(self.fn(m))
+        except (OverflowError, ValueError) as exc:
+            raise InvalidInputError(f"k rule {self.name} gave no finite k for m={m}") from exc
         if not 1 <= k <= m:
             raise InvalidInputError(f"k rule {self.name} gave k={k} for m={m}")
         return k
@@ -548,6 +551,8 @@ def atom_consistency_experiment(
     scn = scenario if scenario is not None else builtin_scenario("atom_demo")
     if scn.qi is None:
         raise InvalidInputError("atom experiment needs a scenario with an analytic QI")
+    if replications < 1:
+        raise InvalidInputError("replications must be positive")
     records = []
     summary_1nn = []
     summary_sqrt = []
@@ -604,6 +609,8 @@ def noisy_rate_experiment(
     """
     if scenario.qi is None:
         raise InvalidInputError("noisy_rate_experiment needs an analytic QI")
+    if replications < 1:
+        raise InvalidInputError("replications must be positive")
     rule = k_rule if k_rule is not None else power_k(2.0 / (scenario.d + 2.0))
     records = []
     summary = []

@@ -5,6 +5,11 @@ ascending, so a distance tie always resolves to the lowest training
 index. The accelerated index is contractually exact: its output is
 bit-identical to the brute-force path (no approximate mode), which the
 test suite enforces on random instances including duplicated points.
+
+``neighbor_table`` queries a kd-tree once the training sample has at
+least 32 points and 2k < m; smaller samples and larger k take the dense
+brute force, which the tests also keep as the oracle. The index answers
+each distinct evaluation row once and copies the answer to its repeats.
 """
 from __future__ import annotations
 
@@ -22,9 +27,13 @@ __all__ = ["NeighborTable", "knn_query", "neighbor_table", "KnnIndex", "build_in
 # float rounding discrepancy, far narrower than genuine distance gaps.
 _TIE_RTOL = 1e-9
 
-# Above this training size neighbor_table switches from the dense brute
-# force to the spatial index (identical output either way).
-_INDEX_THRESHOLD = 512
+# From this training size on, neighbor_table builds the spatial index
+# instead of running the dense brute force (identical output either way),
+# unless 2k >= m. At n=100, d=2, k=1 the kd-tree overtakes the brute force
+# near m=32. Its cost per row grows with k while the brute force's does
+# not, so at fixed m it loses once k passes about m/3 (m=64) to m/2
+# (m >= 512).
+_INDEX_THRESHOLD = 32
 
 # Cap on the number of floats materialized per brute-force block.
 _BLOCK_BUDGET = 4_000_000
@@ -101,6 +110,27 @@ def _brute_table(eval_pts: np.ndarray, train_pts: np.ndarray, k: int, norm: Norm
     return idx_out, dist_out
 
 
+def _distinct_rows(pts: np.ndarray):
+    """``(unique rows, inverse)`` of a point array, or None if no row repeats.
+
+    Rows are compared by value, so 0.0 and -0.0 fall together; the norm
+    reduction maps both to the same distances, so one query serves both.
+    """
+    n = pts.shape[0]
+    if n < 2:
+        return None
+    order = np.lexsort(pts.T)
+    ranked = pts[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    if first.all():
+        return None
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
 def knn_query(query, train: Sample, k: int, norm: Norm = DEFAULT_NORM):
     """Indices and distances of the k nearest training points to ``query``.
 
@@ -155,7 +185,16 @@ class KnnIndex:
         k = _check_k(k, m)
         if k == m:
             return _brute_table(pts, self._train, k, self._norm)
+        # A row's neighbors depend only on its own coordinates, so repeated
+        # rows are queried once and the answers gathered back.
+        distinct = _distinct_rows(pts)
+        if distinct is None:
+            return self._query_rows(pts, k)
+        unique, inverse = distinct
+        idx, dist = self._query_rows(unique, k)
+        return idx[inverse], dist[inverse]
 
+    def _query_rows(self, pts: np.ndarray, k: int):
         kq = k + 1
         d0, i0 = self._tree.query(pts, k=kq, p=self._p)
         d0 = d0.reshape(len(pts), kq)
@@ -204,9 +243,11 @@ def neighbor_table(
 ) -> NeighborTable:
     """Neighbor table over all evaluation points; row i equals knn_query(eval[i]).
 
-    Dispatches to the accelerated index for large training samples; both
-    paths produce identical tables, and a prebuilt ``index`` may be reused
-    across calls with the same training sample.
+    Builds a kd-tree index when the training sample has at least 32 points
+    and 2k < m, and runs the dense brute force otherwise; both paths produce
+    identical tables. The index queries each distinct evaluation row once.
+    A prebuilt ``index`` may be reused across calls with the same training
+    sample.
     """
     if not isinstance(eval_sample, Sample):
         eval_sample = Sample(eval_sample)
@@ -218,7 +259,7 @@ def neighbor_table(
         if index.size != train.size or index.norm is not norm:
             raise InvalidInputError("index does not match the training sample or norm")
         idx, dist = index.query_batch(eval_sample.points, k)
-    elif train.size >= _INDEX_THRESHOLD:
+    elif train.size >= _INDEX_THRESHOLD and 2 * k < train.size:
         idx, dist = KnnIndex(train, norm).query_batch(eval_sample.points, k)
     else:
         idx, dist = _brute_table(eval_sample.points, train.points, k, norm)

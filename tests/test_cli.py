@@ -199,3 +199,28 @@ class TestConfigFile:
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("# a comment\n\nq = 1\n")
         assert main(["constants", "--config", str(cfg)]) == 0
+
+
+class TestInvalidFlags:
+    def rate(self, out_dir, *extra):
+        return main(["rate-exp", "--m-grid", "40,80", "--n", "10", "--reps", "2",
+                     "--out", str(out_dir), *extra])
+
+    @pytest.mark.parametrize(
+        "rule", ["power:abc", "const:x", "const:1.5", "power:nan", "power:inf", "power:1000"]
+    )
+    def test_bad_k_rule_exits_2(self, tmp_path, capsys, rule):
+        assert self.rate(tmp_path, "--k-rule", rule) == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exits_2(self, tmp_path, hand_instance, capsys, threads):
+        assert self.rate(tmp_path, "--threads", threads) == 2
+        ev, tr = hand_instance
+        assert main(["weights", "--eval", ev, "--train", tr, "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_zero_reps_exits_2(self, tmp_path, capsys):
+        assert main(["atom-demo", "--m-grid", "50,100", "--n", "10", "--reps", "0",
+                     "--out", str(tmp_path)]) == 2
+        assert "replications" in capsys.readouterr().err

@@ -186,6 +186,11 @@ class TestRateExperiment:
         with pytest.raises(InvalidInputError):
             wasserstein_rate_experiment(scn, [10], 5, const_k(20), 1.0, 2, 0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 1000.0])
+    def test_k_rule_without_finite_k(self, alpha):
+        with pytest.raises(InvalidInputError):
+            power_k(alpha)(100)
+
     def test_grid_must_increase(self):
         scn = builtin_scenario("identity_1d_uniform")
         with pytest.raises(InvalidInputError):
@@ -239,6 +244,10 @@ class TestAtomExperiment:
         ks = {r.k for r in res.records}
         assert ks == {1, math.ceil(math.sqrt(50))}
 
+    def test_zero_replications_rejected(self):
+        with pytest.raises(InvalidInputError):
+            atom_consistency_experiment([50], 0, 15)
+
 
 class TestNoisyRateExperiment:
     def test_default_k_rule_and_fit(self):
@@ -262,6 +271,11 @@ class TestNoisyRateExperiment:
         scn = dataclasses.replace(builtin_scenario("diag_uniform_gauss"), qi=None)
         with pytest.raises(InvalidInputError):
             noisy_rate_experiment(scn, [50, 100], 50, 5, 0)
+
+    def test_zero_replications_rejected(self):
+        scn = builtin_scenario("diag_uniform_gauss")
+        with pytest.raises(InvalidInputError):
+            noisy_rate_experiment(scn, [50, 100], 50, 0, 0)
 
     def test_noiseless_k1_slope_near_minus_half(self):
         # single-neighbor error at an atom with nonzero surface gradient
