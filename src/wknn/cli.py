@@ -43,7 +43,7 @@ from .experiments import (
     write_summary_csv,
 )
 from .knn import neighbor_table
-from .ot import exact_wq, wq_1nn, wq_knn_bound
+from .ot import exact_wq, wq_knn_bound
 from .theory import inv_density_moment, cdq, rate_constant, unit_ball_volume, zador_exponent
 from .weights import knn_weights, weighted_measure
 
@@ -107,8 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1)
         if out:
             p.add_argument("--out", default=None, help="output directory (required)")
-            p.add_argument("--reps", type=int, default=None)
-            p.add_argument("--certify", action="store_true")
 
     p_weights = sub.add_parser("weights", help="k-NN weight vector from two sample CSVs")
     common(p_weights, out=False)
@@ -126,6 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rate = sub.add_parser("rate-exp", help="transport-cost decay experiment")
     common(p_rate, out=True)
+    p_rate.add_argument("--reps", type=int, default=None)
+    p_rate.add_argument("--certify", action="store_true")
     p_rate.add_argument("--scenario", default="diag_uniform_gauss", choices=scenario_names())
     p_rate.add_argument("--scorr", type=float, default=None)
     p_rate.add_argument("--m-grid", default="100,200,400,800,1600,3200")
@@ -135,6 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_qi = sub.add_parser("qi-exp", help="estimation-error experiment over s_corr")
     common(p_qi, out=True)
+    p_qi.add_argument("--reps", type=int, default=None)
     p_qi.add_argument("--scenario", default="diag_uniform_gauss", choices=scenario_names())
     p_qi.add_argument("--m", type=int, default=900)
     p_qi.add_argument("--n", type=int, default=900)
@@ -143,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_atom = sub.add_parser("atom-demo", help="atom inconsistency demonstration")
     common(p_atom, out=True)
+    p_atom.add_argument("--reps", type=int, default=None)
     p_atom.add_argument("--m-grid", default="100,1000,10000")
     p_atom.add_argument("--n", type=int, default=100)
 
@@ -269,12 +271,9 @@ def _cmd_distance(args) -> int:
             uniform_empirical(eval_sample), weighted_measure(train, wv), args.q, norm
         )
         method = "exact_lp"
-    elif args.k == 1:
-        value = wq_1nn(eval_sample, train, args.q, norm)
-        method = "closed_form_1nn"
     else:
         value = wq_knn_bound(eval_sample, train, args.k, args.q, norm)
-        method = "knn_bound"
+        method = "closed_form_1nn" if args.k == 1 else "knn_bound"
     print("wq_q_power,method")
     print(f"{value:.17g},{method}")
     return EXIT_OK

@@ -7,6 +7,7 @@ threads without synchronization.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -42,6 +43,14 @@ class InvalidInputError(ValueError):
 
 class NumericalError(RuntimeError):
     """Raised when a computation cannot be certified to the required accuracy."""
+
+
+def _check_q(q: float) -> float:
+    """Transport order q as a float; it must be finite and at least 1."""
+    q = float(q)
+    if not (q >= 1.0 and math.isfinite(q)):
+        raise InvalidInputError(f"q must be a finite real >= 1, got {q}")
+    return q
 
 
 class Norm(Enum):

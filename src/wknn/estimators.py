@@ -1,7 +1,6 @@
 """Quantity-of-interest estimators and the k-NN regressor under covariate shift."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -9,7 +8,7 @@ import numpy as np
 
 from .core import DEFAULT_NORM, InvalidInputError, LabeledSample, Norm, Sample
 from .knn import knn_query, neighbor_table
-from .rng import stream
+from .rng import _mean_stderr, stream
 from .weights import WeightVector
 
 __all__ = [
@@ -149,10 +148,4 @@ def generalization_error_mc(
         truth = np.asarray(r_true(x.reshape(1, -1)), dtype=np.float64).reshape(-1)
         diff = truth - pred
         sq_errors[rep] = float(np.dot(diff, diff))
-    mse = math.fsum(sq_errors) / n_test
-    if n_test > 1:
-        var = math.fsum((e - mse) ** 2 for e in sq_errors) / (n_test - 1)
-        stderr = math.sqrt(var / n_test)
-    else:
-        stderr = math.inf
-    return mse, stderr
+    return _mean_stderr(sq_errors)

@@ -27,7 +27,7 @@ from .core import (
 from .estimators import Model, Observable, qi_hat
 from .knn import neighbor_table
 from .ot import exact_wq, knn_transport_cost
-from .rng import indexed_map, standard_normal, stream, uniform_open
+from .rng import _mean_stderr, indexed_map, standard_normal, stream, uniform_open
 from .weights import knn_weights, weighted_measure
 
 __all__ = [
@@ -332,17 +332,6 @@ class RateFit:
     residual_rms: float
 
 
-def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
-    n = len(values)
-    mean = math.fsum(values) / n
-    if n > 1:
-        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-        stderr = math.sqrt(var / n)
-    else:
-        stderr = math.inf
-    return mean, stderr
-
-
 def fit_loglog(points) -> RateFit:
     """OLS fit of log(statistic) against log(abscissa)."""
     pts = [(float(x), float(y)) for x, y in points]
@@ -414,6 +403,66 @@ class AtomExperimentResult:
     summary_sqrt: tuple
 
 
+def _check_m_grid(m_grid: Sequence[int]) -> list[int]:
+    ms = [int(m) for m in m_grid]
+    if not ms or ms[0] < 1 or any(b <= a for a, b in zip(ms, ms[1:])):
+        raise InvalidInputError("m_grid must be nonempty, positive and strictly increasing")
+    return ms
+
+
+def _run_grid(points, cell, n, replications, base_seed, threads, columns=1):
+    """The one Monte Carlo loop: grid point -> replications -> records -> summaries.
+
+    ``cell(point)`` returns one record label tuple (scenario, m, n, k, q,
+    s_corr) per statistic column and a worker mapping a replication index
+    to one value per column. Each replication's wall time is split evenly
+    across its records; each column gets one summary row per point, keyed
+    by the point.
+    """
+    if replications < 1 or n < 1:
+        raise InvalidInputError("replications and n must be positive")
+    records = []
+    summaries = [[] for _ in range(columns)]
+    for point in points:
+        labels, worker = cell(point)
+
+        def timed(rep, worker=worker):
+            t0 = time.perf_counter()
+            stats = worker(rep)
+            return stats, time.perf_counter() - t0
+
+        outcomes = indexed_map(timed, replications, threads)
+        for rep, (stats, secs) in enumerate(outcomes):
+            share = secs / len(stats)
+            for label, stat in zip(labels, stats):
+                records.append(RunRecord(*label, rep, base_seed, stat, share))
+        for col, rows in enumerate(summaries):
+            mean, stderr = _mean_stderr([stats[col] for stats, _ in outcomes])
+            rows.append(SummaryRow(float(point), mean, stderr, replications))
+    return tuple(records), [tuple(rows) for rows in summaries]
+
+
+def _draw_labeled(scn: Scenario, base_seed: int, rep: int, n: int, m: int):
+    """Replication ``rep``'s evaluation sample, training inputs and training outputs."""
+    gen = stream(base_seed, rep)
+    x = Sample(scn.x_sampler(gen, n))
+    xp_arr = scn.xp_sampler(gen, m)
+    return x, xp_arr, scn.model.sample_outputs(gen, xp_arr)
+
+
+def _squared_qi_error(scn: Scenario, base_seed: int, n: int, m: int, k: int, norm: Norm):
+    """Worker: squared error of the k-NN reweighted QI estimate."""
+
+    def worker(rep):
+        x, xp_arr, outputs = _draw_labeled(scn, base_seed, rep, n, m)
+        table = neighbor_table(x, Sample(xp_arr), k, norm)
+        wv = knn_weights(table, m)
+        err = qi_hat(wv, outputs, scn.phi) - scn.qi
+        return (err * err,)
+
+    return worker
+
+
 def _certify_record(x: Sample, xp: Sample, table, k, q, norm, stat) -> None:
     wv = knn_weights(table, xp.size)
     cost, _ = exact_wq(uniform_empirical(x), weighted_measure(xp, wv), q, norm)
@@ -449,20 +498,13 @@ def wasserstein_rate_experiment(
     neighbor table. With ``certify`` every 100th replication is checked
     against the exact LP value.
     """
-    m_grid = [int(m) for m in m_grid]
-    if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
-        raise InvalidInputError("m_grid must be strictly increasing and nonempty")
-    if replications < 1 or n < 1:
-        raise InvalidInputError("replications and n must be positive")
+    m_grid = _check_m_grid(m_grid)
     s_corr = scenario.params.get("s_corr")
 
-    records = []
-    summary = []
-    for m in m_grid:
+    def cell(m):
         k = k_rule(m)
 
-        def worker(rep, m=m, k=k):
-            t0 = time.perf_counter()
+        def worker(rep):
             gen = stream(base_seed, rep)
             x = Sample(scenario.x_sampler(gen, n))
             xp = Sample(scenario.xp_sampler(gen, m))
@@ -470,21 +512,16 @@ def wasserstein_rate_experiment(
             stat = knn_transport_cost(table, q)
             if certify and rep % 100 == 0:
                 _certify_record(x, xp, table, k, q, norm, stat)
-            return stat, time.perf_counter() - t0
+            return (stat,)
 
-        outcomes = indexed_map(worker, replications, threads)
-        for rep, (stat, secs) in enumerate(outcomes):
-            records.append(
-                RunRecord(scenario.name, m, n, k, float(q), s_corr, rep, base_seed, stat, secs)
-            )
-        mean, stderr = _mean_stderr([stat for stat, _ in outcomes])
-        summary.append(SummaryRow(key=float(m), mean=mean, stderr=stderr, count=replications))
+        return [(scenario.name, m, n, k, float(q), s_corr)], worker
 
+    records, (summary,) = _run_grid(m_grid, cell, n, replications, base_seed, threads)
     fit = fit_loglog([(row.key, row.mean) for row in summary]) if len(m_grid) >= 2 else None
-    statistic = "closed_form_1nn" if all(k_rule(m) == 1 for m in m_grid) else "knn_bound"
+    statistic = "closed_form_1nn" if all(r.k == 1 for r in records) else "knn_bound"
     if certify:
         statistic += "+lp_certified"
-    return RateExperimentResult(tuple(records), tuple(summary), fit, statistic)
+    return RateExperimentResult(records, summary, fit, statistic)
 
 
 def qi_experiment(
@@ -502,35 +539,15 @@ def qi_experiment(
     """Squared estimation error of the reweighted estimator per s_corr value."""
     if scenario.qi is None:
         raise InvalidInputError("qi_experiment needs a scenario with an analytic QI")
-    if replications < 1:
-        raise InvalidInputError("replications must be positive")
-    records = []
-    summary = []
-    for s in s_corr_grid:
-        if scenario.params.get("s_corr") == float(s):
-            scn = scenario
-        else:
-            scn = scenario.with_params(s_corr=float(s))
+    (m,) = _check_m_grid([m])
 
-        def worker(rep, scn=scn):
-            t0 = time.perf_counter()
-            gen = stream(base_seed, rep)
-            x = Sample(scn.x_sampler(gen, n))
-            xp_arr = scn.xp_sampler(gen, m)
-            outputs = scn.model.sample_outputs(gen, xp_arr)
-            table = neighbor_table(x, Sample(xp_arr), k, norm)
-            wv = knn_weights(table, m)
-            err = qi_hat(wv, outputs, scn.phi) - scn.qi
-            return err * err, time.perf_counter() - t0
+    def cell(s):
+        s = float(s)
+        scn = scenario if scenario.params.get("s_corr") == s else scenario.with_params(s_corr=s)
+        return [(scn.name, m, n, k, 2.0, s)], _squared_qi_error(scn, base_seed, n, m, k, norm)
 
-        outcomes = indexed_map(worker, replications, threads)
-        for rep, (stat, secs) in enumerate(outcomes):
-            records.append(
-                RunRecord(scn.name, m, n, k, 2.0, float(s), rep, base_seed, stat, secs)
-            )
-        mean, stderr = _mean_stderr([stat for stat, _ in outcomes])
-        summary.append(SummaryRow(key=float(s), mean=mean, stderr=stderr, count=replications))
-    return QiExperimentResult(tuple(records), tuple(summary))
+    records, (summary,) = _run_grid(s_corr_grid, cell, n, replications, base_seed, threads)
+    return QiExperimentResult(records, summary)
 
 
 def atom_consistency_experiment(
@@ -551,43 +568,29 @@ def atom_consistency_experiment(
     scn = scenario if scenario is not None else builtin_scenario("atom_demo")
     if scn.qi is None:
         raise InvalidInputError("atom experiment needs a scenario with an analytic QI")
-    if replications < 1:
-        raise InvalidInputError("replications must be positive")
-    records = []
-    summary_1nn = []
-    summary_sqrt = []
-    for m in m_grid:
-        m = int(m)
-        k_big = max(1, math.ceil(math.sqrt(m)))
+    m_grid = _check_m_grid(m_grid)
+    s_corr = scn.params.get("s_corr")
 
-        def worker(rep, m=m, k_big=k_big):
-            t0 = time.perf_counter()
-            gen = stream(base_seed, rep)
-            x = Sample(scn.x_sampler(gen, n))
-            xp_arr = scn.xp_sampler(gen, m)
-            outputs = scn.model.sample_outputs(gen, xp_arr)
+    def cell(m):
+        k_big = math.ceil(math.sqrt(m))
+
+        def worker(rep):
+            x, xp_arr, outputs = _draw_labeled(scn, base_seed, rep, n, m)
             # One table at the larger k serves both estimators: its first
             # column is exactly the 1-NN table under the same tie rule.
             table = neighbor_table(x, Sample(xp_arr), k_big, norm)
             vals = scn.phi(outputs)
             err_big = abs(float(np.mean(vals[table.indices])) - scn.qi)
             err_one = abs(float(np.mean(vals[table.indices[:, :1]])) - scn.qi)
-            return err_one, err_big, time.perf_counter() - t0
+            return err_one, err_big
 
-        outcomes = indexed_map(worker, replications, threads)
-        for rep, (err_one, err_big, secs) in enumerate(outcomes):
-            half = secs / 2.0
-            records.append(
-                RunRecord(scn.name, m, n, 1, 1.0, scn.params.get("s_corr"), rep, base_seed, err_one, half)
-            )
-            records.append(
-                RunRecord(scn.name, m, n, k_big, 1.0, scn.params.get("s_corr"), rep, base_seed, err_big, half)
-            )
-        mean1, se1 = _mean_stderr([o[0] for o in outcomes])
-        meanb, seb = _mean_stderr([o[1] for o in outcomes])
-        summary_1nn.append(SummaryRow(key=float(m), mean=mean1, stderr=se1, count=replications))
-        summary_sqrt.append(SummaryRow(key=float(m), mean=meanb, stderr=seb, count=replications))
-    return AtomExperimentResult(tuple(records), tuple(summary_1nn), tuple(summary_sqrt))
+        labels = [(scn.name, m, n, 1, 1.0, s_corr), (scn.name, m, n, k_big, 1.0, s_corr)]
+        return labels, worker
+
+    records, (summary_1nn, summary_sqrt) = _run_grid(
+        m_grid, cell, n, replications, base_seed, threads, columns=2
+    )
+    return AtomExperimentResult(records, summary_1nn, summary_sqrt)
 
 
 def noisy_rate_experiment(
@@ -598,49 +601,29 @@ def noisy_rate_experiment(
     base_seed: int,
     *,
     k_rule: Optional[KRule] = None,
-    q: float = 2.0,
     norm: Norm = DEFAULT_NORM,
     threads: int = 1,
 ) -> tuple[QiExperimentResult, RateFit]:
     """Decay of the RMS estimation error in m with the balanced k_m schedule.
 
     Defaults to k_m = ceil(m^{2/(d+2)}); the fit is of log RMS error
-    against log m, so the reference exponent is -1/(d+2).
+    against log m, so the reference exponent is -1/(d+2). Records carry
+    q=2 for the squared error.
     """
     if scenario.qi is None:
         raise InvalidInputError("noisy_rate_experiment needs an analytic QI")
-    if replications < 1:
-        raise InvalidInputError("replications must be positive")
+    m_grid = _check_m_grid(m_grid)
     rule = k_rule if k_rule is not None else power_k(2.0 / (scenario.d + 2.0))
-    records = []
-    summary = []
-    for m in m_grid:
-        m = int(m)
+    s_corr = scenario.params.get("s_corr")
+
+    def cell(m):
         k = rule(m)
+        labels = [(scenario.name, m, n, k, 2.0, s_corr)]
+        return labels, _squared_qi_error(scenario, base_seed, n, m, k, norm)
 
-        def worker(rep, m=m, k=k):
-            t0 = time.perf_counter()
-            gen = stream(base_seed, rep)
-            x = Sample(scenario.x_sampler(gen, n))
-            xp_arr = scenario.xp_sampler(gen, m)
-            outputs = scenario.model.sample_outputs(gen, xp_arr)
-            table = neighbor_table(x, Sample(xp_arr), k, norm)
-            wv = knn_weights(table, m)
-            err = qi_hat(wv, outputs, scenario.phi) - scenario.qi
-            return err * err, time.perf_counter() - t0
-
-        outcomes = indexed_map(worker, replications, threads)
-        for rep, (stat, secs) in enumerate(outcomes):
-            records.append(
-                RunRecord(
-                    scenario.name, m, n, k, float(q), scenario.params.get("s_corr"),
-                    rep, base_seed, stat, secs,
-                )
-            )
-        mean, stderr = _mean_stderr([stat for stat, _ in outcomes])
-        summary.append(SummaryRow(key=float(m), mean=mean, stderr=stderr, count=replications))
+    records, (summary,) = _run_grid(m_grid, cell, n, replications, base_seed, threads)
     fit = fit_loglog([(row.key, math.sqrt(row.mean)) for row in summary])
-    return QiExperimentResult(tuple(records), tuple(summary)), fit
+    return QiExperimentResult(records, summary), fit
 
 
 # --- CSV emitters ----------------------------------------------------------------

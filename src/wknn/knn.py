@@ -238,16 +238,12 @@ def neighbor_table(
     train: Sample,
     k: int,
     norm: Norm = DEFAULT_NORM,
-    *,
-    index: KnnIndex | None = None,
 ) -> NeighborTable:
     """Neighbor table over all evaluation points; row i equals knn_query(eval[i]).
 
     Builds a kd-tree index when the training sample has at least 32 points
     and 2k < m, and runs the dense brute force otherwise; both paths produce
     identical tables. The index queries each distinct evaluation row once.
-    A prebuilt ``index`` may be reused across calls with the same training
-    sample.
     """
     if not isinstance(eval_sample, Sample):
         eval_sample = Sample(eval_sample)
@@ -255,11 +251,7 @@ def neighbor_table(
         train = Sample(train)
     _check_dims(eval_sample.dim, train.dim)
     k = _check_k(k, train.size)
-    if index is not None:
-        if index.size != train.size or index.norm is not norm:
-            raise InvalidInputError("index does not match the training sample or norm")
-        idx, dist = index.query_batch(eval_sample.points, k)
-    elif train.size >= _INDEX_THRESHOLD and 2 * k < train.size:
+    if train.size >= _INDEX_THRESHOLD and 2 * k < train.size:
         idx, dist = KnnIndex(train, norm).query_batch(eval_sample.points, k)
     else:
         idx, dist = _brute_table(eval_sample.points, train.points, k, norm)

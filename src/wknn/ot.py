@@ -23,6 +23,7 @@ from .core import (
     Norm,
     NumericalError,
     Sample,
+    _check_q,
     pairwise_distances,
 )
 from .knn import NeighborTable, neighbor_table
@@ -48,13 +49,6 @@ class TransportPlan:
     cost: float
 
 
-def _check_q(q: float) -> float:
-    q = float(q)
-    if not (q >= 1.0 and math.isfinite(q)):
-        raise InvalidInputError(f"q must be a finite real >= 1, got {q}")
-    return q
-
-
 def knn_transport_cost(table: NeighborTable, q: float) -> float:
     """Average q-th power of the table distances: (1/(k n)) sum_i sum_l d_il^q."""
     q = _check_q(q)
@@ -67,8 +61,7 @@ def wq_1nn(eval_sample: Sample, train: Sample, q: float, norm: Norm = DEFAULT_NO
     This closed form equals the exact transport cost between the
     evaluation empirical measure and the 1-NN weighted training measure.
     """
-    table = neighbor_table(eval_sample, train, 1, norm)
-    return knn_transport_cost(table, q)
+    return wq_knn_bound(eval_sample, train, 1, q, norm)
 
 
 def wq_knn_bound(
@@ -265,6 +258,9 @@ def _certify(a, b, C, flow, u, v):
         raise NumericalError(
             f"transport plan infeasible: marginal errors {row_err:g}, {col_err:g}"
         )
+    slack = float(np.min(C - u[:, None] - v[None, :]))
+    if slack < -_FEAS_TOL * max(1.0, float(C.max())):
+        raise NumericalError(f"duals infeasible: reduced cost {slack:g} below tolerance")
     cost = float(np.vdot(flow, C))
     dual = float(np.dot(a, u) + np.dot(b, v))
     gap = abs(cost - dual)

@@ -12,6 +12,7 @@ sampling, so every draw consumes a fixed amount of the stream.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -57,3 +58,15 @@ def indexed_map(fn, count: int, threads: int = 1) -> list:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=int(threads)) as pool:
         return list(pool.map(fn, range(count)))
+
+
+def _mean_stderr(values) -> tuple[float, float]:
+    """Mean and standard error of the mean (inf for a single value), summed with fsum."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    if n > 1:
+        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+        stderr = math.sqrt(var / n)
+    else:
+        stderr = math.inf
+    return mean, stderr

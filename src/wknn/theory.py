@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DEFAULT_NORM, InvalidInputError, Norm, NumericalError
-from .rng import stream
+from .core import DEFAULT_NORM, InvalidInputError, Norm, NumericalError, _check_q
+from .rng import _mean_stderr, stream
 
 __all__ = [
     "RateConstant",
@@ -49,13 +49,6 @@ def unit_ball_volume(d: int, norm: Norm = DEFAULT_NORM) -> float:
     if norm is Norm.L1:
         return 2.0**d / math.factorial(d)
     return 2.0**d
-
-
-def _check_q(q: float) -> float:
-    q = float(q)
-    if not (q >= 1.0 and math.isfinite(q)):
-        raise InvalidInputError(f"q must be a finite real >= 1, got {q}")
-    return q
 
 
 def rate_constant(
@@ -135,10 +128,4 @@ def inv_density_moment(
     vals = np.exp(-(q / d) * logs)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite density evaluation in moment estimate")
-    est = math.fsum(vals) / n_draws
-    if n_draws > 1:
-        var = math.fsum((v - est) ** 2 for v in vals) / (n_draws - 1)
-        stderr = math.sqrt(var / n_draws)
-    else:
-        stderr = math.inf
-    return est, stderr
+    return _mean_stderr(vals)

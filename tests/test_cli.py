@@ -1,5 +1,9 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wknn.cli import main
 from wknn.core import Sample, write_sample_csv
@@ -224,3 +228,73 @@ class TestInvalidFlags:
         assert main(["atom-demo", "--m-grid", "50,100", "--n", "10", "--reps", "0",
                      "--out", str(tmp_path)]) == 2
         assert "replications" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qi-exp", "--n", "-1", "--m", "20", "--k", "2"],
+            ["qi-exp", "--m", "-3", "--n", "5", "--k", "2"],
+            ["atom-demo", "--n", "-1", "--m-grid", "20,40"],
+            ["atom-demo", "--n", "5", "--m-grid=-5,50"],
+        ],
+    )
+    def test_negative_sizes_exit_2(self, tmp_path, capsys, argv):
+        assert main([*argv, "--reps", "2", "--out", str(tmp_path)]) == 2
+        assert "error" in capsys.readouterr().err
+
+
+class TestUnreadOptions:
+    """Flags are registered only on the subcommands that read them."""
+
+    def test_certify_rejected_on_qi_exp(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["qi-exp", "--certify", "--reps", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_certify_config_key_rejected_on_qi_exp(self, tmp_path, capsys):
+        cfg = tmp_path / "qi.cfg"
+        cfg.write_text("certify = 1\n")
+        assert main(["qi-exp", "--config", str(cfg), "--reps", "2",
+                     "--out", str(tmp_path)]) == 2
+        assert "unknown config key 'certify'" in capsys.readouterr().err
+
+    def test_reps_rejected_on_regress_exp(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["regress-exp", "--reps", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_manifests_list_only_read_options(self, tmp_path):
+        out = tmp_path / "atom"
+        assert main(["atom-demo", "--m-grid", "20,40", "--n", "5", "--reps", "2",
+                     "--out", str(out)]) == 0
+        keys = {line.partition("=")[0] for line in read_lines(out / "manifest.txt")}
+        assert "reps" in keys and "certify" not in keys
+
+
+_SIZE = st.integers(-2, 6)
+_M = st.integers(-3, 60)
+_GRID = st.lists(_M, min_size=0, max_size=3).map(lambda ms: ",".join(map(str, ms)))
+
+
+@st.composite
+def experiment_argv(draw):
+    command = draw(st.sampled_from(["rate-exp", "qi-exp", "atom-demo"]))
+    argv = [command, "--n", str(draw(_SIZE)), "--reps", str(draw(st.integers(-1, 3))),
+            "--threads", str(draw(st.sampled_from([1, 2]))), "--seed", "1"]
+    if command == "qi-exp":
+        argv += ["--m", str(draw(_M)), "--k", str(draw(_SIZE)), "--scorr-grid=0"]
+    else:
+        argv.append(f"--m-grid={draw(_GRID)}")
+    if command == "rate-exp":
+        argv += ["--k-rule", f"const:{draw(_SIZE)}"]
+        if draw(st.booleans()):
+            argv.append("--certify")
+    return argv
+
+
+class TestExitCodeProperty:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(argv=experiment_argv())
+    def test_experiments_exit_0_2_or_3(self, argv):
+        with tempfile.TemporaryDirectory() as out:
+            assert main([*argv, "--out", out]) in {0, 2, 3}

@@ -7,13 +7,14 @@ import pytest
 from wknn.core import (
     InvalidInputError,
     Norm,
+    NumericalError,
     Sample,
     pairwise_distances,
     uniform_empirical,
     validate_measure,
 )
 from wknn.knn import neighbor_table
-from wknn.ot import exact_wq, wq_1d_uniform_oracle, wq_1nn, wq_knn_bound
+from wknn.ot import _certify, exact_wq, wq_1d_uniform_oracle, wq_1nn, wq_knn_bound
 from wknn.rng import stream, uniform_open
 from wknn.weights import knn_weights, weighted_measure
 
@@ -227,3 +228,20 @@ class TestExactWq:
                 validate_measure([[0.0, 1.0]], [1.0]),
                 1.0,
             )
+
+
+class TestCertificate:
+    def test_infeasible_duals_rejected(self):
+        # The anti-diagonal plan costs 1 and u=(1, 1), v=0 closes the gap,
+        # but C - u - v has -1 on the diagonal: the optimum is 0.
+        a = b = np.array([0.5, 0.5])
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        flow = np.array([[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(NumericalError, match="duals infeasible"):
+            _certify(a, b, cost, flow, np.ones(2), np.zeros(2))
+
+    def test_optimal_duals_accepted(self):
+        a = b = np.array([0.5, 0.5])
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        flow = np.array([[0.5, 0.0], [0.0, 0.5]])
+        assert _certify(a, b, cost, flow, np.zeros(2), np.zeros(2)) == 0.0
