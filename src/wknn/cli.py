@@ -423,7 +423,11 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
+        try:
+            args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
+        except SystemExit as exc:
+            # argparse has printed usage or help: 2 for a usage error, 0 for --help.
+            return int(exc.code or 0)
         if args.threads < 1:
             raise InvalidInputError(f"--threads must be at least 1, got {args.threads}")
         return _HANDLERS[args.command](args)

@@ -8,6 +8,12 @@ the distance itself; callers wanting W_q take the q-th root.
 specialization), not an entropic approximation: it returns a vertex plan
 and certifies optimality through a feasible dual with a relative
 complementary-slackness gap below 1e-9.
+
+The simplex keeps its basis as a spanning tree over the rows and columns,
+rooted at row 0: a parent, a depth and a potential (dual) per node. A
+pivot finds its cycle by climbing parent pointers from both ends of the
+entering arc, and re-hangs from the entering arc only the subtree that
+the leaving arc cuts off, recomputing the potentials there alone.
 """
 from __future__ import annotations
 
@@ -118,67 +124,54 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
     return flow, basic
 
 
-def _compute_duals(n, m, C, row_cols, col_rows):
-    u = np.full(n, np.nan)
-    v = np.full(m, np.nan)
-    u[0] = 0.0
-    stack = [(0, True)]
-    seen = 1
+def _hang(top, up, adj, parent, depth, pot, edge, cost, n, m):
+    """Hang the subtree reached from ``top`` below node ``up`` (-1: the root).
+
+    Nodes are rows 0..n-1 and columns n..n+m-1. Sets parent, depth, the
+    flat cell of the edge to the parent and the potential, top-down: a
+    node's potential is its parent edge's cost minus the parent's
+    potential. Returns the number of nodes hung; it raises once that
+    exceeds n+m, which only a cycle in ``adj`` can cause.
+    """
+    parent[top] = up
+    if up < 0:
+        depth[top] = 0
+        edge[top] = -1
+        pot[top] = 0.0
+    else:
+        f = top * m + up - n if top < n else up * m + top - n
+        depth[top] = depth[up] + 1
+        edge[top] = f
+        pot[top] = cost(f) - pot[up]
+    total = n + m
+    count = 0
+    stack = [top]
     while stack:
-        node, is_row = stack.pop()
-        if is_row:
-            ui = u[node]
-            for j in row_cols[node]:
-                if math.isnan(v[j]):
-                    v[j] = C[node, j] - ui
-                    stack.append((j, False))
-                    seen += 1
-        else:
-            vj = v[node]
-            for i in col_rows[node]:
-                if math.isnan(u[i]):
-                    u[i] = C[i, node] - vj
-                    stack.append((i, True))
-                    seen += 1
-    if seen != n + m:
-        raise NumericalError("transport basis lost its spanning-tree structure")
-    return u, v
+        x = stack.pop()
+        count += 1
+        if count > total:
+            raise NumericalError("transport basis lost its spanning-tree structure")
+        px = parent[x]
+        dz = depth[x] + 1
+        x_pot = pot[x]
+        # Row x owns cells x*m + (z - n); column x owns cells z*m + (x - n).
+        base, stride = (x * m - n, 1) if x < n else (x - n, m)
+        for z in adj[x]:
+            if z != px:
+                f = base + z * stride
+                parent[z] = x
+                depth[z] = dz
+                edge[z] = f
+                pot[z] = cost(f) - x_pot
+                stack.append(z)
+    return count
 
 
-def _tree_path(entering, row_cols, col_rows, n):
-    """Cells of the unique basis path from the entering cell's row to its column."""
-    p, qc = entering
-    # Bipartite BFS: rows are 0..n-1, columns are n..n+m-1.
-    start = p
-    goal = n + qc
-    parent = {start: None}
-    frontier = [start]
-    while frontier and goal not in parent:
-        nxt = []
-        for node in frontier:
-            if node < n:
-                for j in row_cols[node]:
-                    other = n + j
-                    if other not in parent:
-                        parent[other] = (node, (node, j))
-                        nxt.append(other)
-            else:
-                j = node - n
-                for i in col_rows[j]:
-                    if i not in parent:
-                        parent[i] = (node, (i, j))
-                        nxt.append(i)
-        frontier = nxt
-    if goal not in parent:
-        raise NumericalError("transport basis lost connectivity")
-    cells = []
-    node = goal
-    while parent[node] is not None:
-        prev, cell = parent[node]
-        cells.append(cell)
-        node = prev
-    cells.reverse()
-    return cells
+def _flow_matrix(flow, tree_flow):
+    """Write the basic cells' flows into ``flow`` and 0.0 everywhere else."""
+    flow.fill(0.0)
+    flow.ravel()[list(tree_flow)] = list(tree_flow.values())
+    return flow
 
 
 def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
@@ -188,83 +181,120 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     after a deterministic iteration budget, falls back to Bland's rule
     (first negative in lexicographic order) which cannot cycle. Leaving
     arc ties also resolve to the lowest (i, j). Fully deterministic.
+
+    The basis is a spanning tree over rows 0..n-1 and columns n..n+m-1,
+    rooted at row 0, kept as a parent, a depth, a parent-edge cell and a
+    potential per node (the potentials are the duals: u for rows, v for
+    columns). The entering arc's cycle is found by climbing parent
+    pointers from both of its ends to their common ancestor. The leaving
+    arc cuts off the subtree below it, which contains one end of the
+    entering arc; only that subtree is re-hung from the entering arc and
+    gets new potentials. A potential depends only on the tree path from
+    row 0, so every potential, reduced cost and pivot equals that of a
+    full recomputation bit for bit.
     """
     n, m = C.shape
     flow, basic = _northwest_corner(a, b)
-    in_basis = np.zeros((n, m), dtype=bool)
-    row_cols = [set() for _ in range(n)]
-    col_rows = [set() for _ in range(m)]
+    # Flow of each basic cell by flat index; every other cell carries 0.0.
+    tree_flow = {i * m + j: float(flow[i, j]) for (i, j) in basic}
+    cost = C.item  # cost(f): the cost of flat cell f as a Python float
+    adj = [[] for _ in range(n + m)]
     for (i, j) in basic:
-        in_basis[i, j] = True
-        row_cols[i].add(j)
-        col_rows[j].add(i)
+        adj[i].append(n + j)
+        adj[n + j].append(i)
+    parent = [-1] * (n + m)
+    depth = [0] * (n + m)
+    edge = np.full(n + m, -1, dtype=np.intp)  # an array: it indexes the mask
+    pot = [0.0] * (n + m)
+    if _hang(0, -1, adj, parent, depth, pot, edge, cost, n, m) != n + m:
+        raise NumericalError("transport basis lost its spanning-tree structure")
 
     cost_scale = max(1.0, float(C.max()) if C.size else 1.0)
     eps = 1e-10 * cost_scale
     bland_after = 200 + 50 * (n + m)
     max_iter = 5000 + 400 * (n + m) + 2 * n * m
+    reduced = np.empty_like(C)
+    red = reduced.reshape(-1)
 
     for it in range(max_iter):
-        u, v = _compute_duals(n, m, C, row_cols, col_rows)
-        reduced = C - u[:, None] - v[None, :]
-        reduced[in_basis] = np.inf
+        duals = np.fromiter(pot, np.float64, n + m)
+        u = duals[:n]
+        v = duals[n:]
+        np.subtract(C, u[:, None], out=reduced)
+        np.subtract(reduced, v[None, :], out=reduced)
+        # Row 0 stays the root, so edge[1:] holds every basic cell.
+        red[edge[1:]] = np.inf
         if it < bland_after:
-            flat = int(np.argmin(reduced))
-            if reduced.flat[flat] >= -eps:
-                return flow, u, v
+            flat = int(red.argmin())
+            if red[flat] >= -eps:
+                return _flow_matrix(flow, tree_flow), u, v
         else:
-            negatives = np.flatnonzero(reduced.ravel() < -eps)
+            negatives = np.flatnonzero(red < -eps)
             if negatives.size == 0:
-                return flow, u, v
+                return _flow_matrix(flow, tree_flow), u, v
             flat = int(negatives[0])
         p, qc = divmod(flat, m)
 
-        cells = _tree_path((p, qc), row_cols, col_rows, n)
-        minus = cells[0::2]
-        plus = cells[1::2]
+        # Cycle: the tree path from row p to column qc, as the nodes whose
+        # parent edge it uses; on each side the edge nearest the end is minus.
+        x, y = p, n + qc
+        side_p, side_q = [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                side_p.append(x)
+                x = parent[x]
+            else:
+                side_q.append(y)
+                y = parent[y]
 
         delta = math.inf
-        leaving = None
-        for cell in minus:
-            f = flow[cell]
-            if f < delta or (f == delta and (leaving is None or cell < leaving)):
-                delta = f
-                leaving = cell
-        if leaving is None:
+        leaving = out = -1
+        for node in side_p[0::2] + side_q[0::2]:
+            f = edge[node]
+            g = tree_flow[f]
+            if g < delta or (g == delta and f < leaving):
+                delta = g
+                leaving = f
+                out = node
+        if leaving < 0:
             raise NumericalError("degenerate transport pivot found no leaving arc")
 
-        flow[p, qc] += delta
-        for cell in minus:
-            flow[cell] -= delta
-        for cell in plus:
-            flow[cell] += delta
-        flow[leaving] = 0.0
+        tree_flow[flat] = 0.0 + delta  # the entering cell carried 0.0
+        for node in side_p[0::2] + side_q[0::2]:
+            tree_flow[edge[node]] -= delta
+        for node in side_p[1::2] + side_q[1::2]:
+            tree_flow[edge[node]] += delta
+        del tree_flow[leaving]
 
-        in_basis[leaving] = False
-        row_cols[leaving[0]].discard(leaving[1])
-        col_rows[leaving[1]].discard(leaving[0])
-        in_basis[p, qc] = True
-        row_cols[p].add(qc)
-        col_rows[qc].add(p)
+        above = parent[out]
+        adj[out].remove(above)
+        adj[above].remove(out)
+        adj[p].append(n + qc)
+        adj[n + qc].append(p)
+        if out in side_p:
+            _hang(p, n + qc, adj, parent, depth, pot, edge, cost, n, m)
+        else:
+            _hang(n + qc, p, adj, parent, depth, pot, edge, cost, n, m)
 
     raise NumericalError("transportation simplex exceeded its pivot budget")
 
 
 def _certify(a, b, C, flow, u, v):
+    # Every test is written so that a NaN fails it.
     np.clip(flow, 0.0, None, out=flow)
     row_err = float(np.max(np.abs(flow.sum(axis=1) - a)))
     col_err = float(np.max(np.abs(flow.sum(axis=0) - b)))
-    if row_err > _FEAS_TOL or col_err > _FEAS_TOL:
+    if not (row_err <= _FEAS_TOL and col_err <= _FEAS_TOL):
         raise NumericalError(
             f"transport plan infeasible: marginal errors {row_err:g}, {col_err:g}"
         )
     slack = float(np.min(C - u[:, None] - v[None, :]))
-    if slack < -_FEAS_TOL * max(1.0, float(C.max())):
+    if not slack >= -_FEAS_TOL * max(1.0, float(C.max())):
         raise NumericalError(f"duals infeasible: reduced cost {slack:g} below tolerance")
     cost = float(np.vdot(flow, C))
     dual = float(np.dot(a, u) + np.dot(b, v))
     gap = abs(cost - dual)
-    if gap > _FEAS_TOL * max(1.0, abs(cost)):
+    if not gap <= _FEAS_TOL * max(1.0, abs(cost)):
         raise NumericalError(f"optimality gap {gap:g} exceeds tolerance")
     return cost
 
@@ -279,7 +309,7 @@ def exact_wq(
 
     Zero-mass support points are dropped before solving. Raises
     InvalidInputError on a mass mismatch beyond 1e-9 and NumericalError
-    if optimality cannot be certified.
+    if a cost overflows or optimality cannot be certified.
     """
     q = _check_q(q)
     if source.points.dim != target.points.dim:
@@ -301,6 +331,8 @@ def exact_wq(
     pts_a = Sample(source.points.points[keep_a])
     pts_b = Sample(target.points.points[keep_b])
     C = pairwise_distances(pts_a, pts_b, norm) ** q
+    if not np.isfinite(C).all():
+        raise NumericalError("transport costs overflow float64")
 
     flow, u, v = _transport_simplex(a, b, C)
     cost = _certify(a, b, C, flow, u, v)

@@ -13,6 +13,7 @@ sampling, so every draw consumes a fixed amount of the stream.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -50,13 +51,15 @@ def indexed_map(fn, count: int, threads: int = 1) -> list:
     """Apply ``fn`` to 0..count-1, in index order, optionally on a thread pool.
 
     Output is a list ordered by index, so results do not depend on the
-    degree of parallelism (each task must be pure given its index).
+    degree of parallelism (each task must be pure given its index). The
+    pool never has more workers than tasks or CPUs.
     """
     if count < 0:
         raise InvalidInputError("count must be nonnegative")
-    if threads <= 1 or count <= 1:
+    workers = min(int(threads), count, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))
 
 

@@ -224,6 +224,16 @@ class TestInvalidFlags:
         assert main(["weights", "--eval", ev, "--train", tr, "--threads", threads]) == 2
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [[], ["rate-exp", "--no-such-flag"], ["bogus"]])
+    def test_usage_errors_return_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["rate-exp", "--help"]])
+    def test_help_returns_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert "usage" in capsys.readouterr().out
+
     def test_zero_reps_exits_2(self, tmp_path, capsys):
         assert main(["atom-demo", "--m-grid", "50,100", "--n", "10", "--reps", "0",
                      "--out", str(tmp_path)]) == 2
@@ -247,9 +257,7 @@ class TestUnreadOptions:
     """Flags are registered only on the subcommands that read them."""
 
     def test_certify_rejected_on_qi_exp(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["qi-exp", "--certify", "--reps", "2", "--out", str(tmp_path)])
-        assert exc.value.code == 2
+        assert main(["qi-exp", "--certify", "--reps", "2", "--out", str(tmp_path)]) == 2
 
     def test_certify_config_key_rejected_on_qi_exp(self, tmp_path, capsys):
         cfg = tmp_path / "qi.cfg"
@@ -259,9 +267,7 @@ class TestUnreadOptions:
         assert "unknown config key 'certify'" in capsys.readouterr().err
 
     def test_reps_rejected_on_regress_exp(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["regress-exp", "--reps", "2", "--out", str(tmp_path)])
-        assert exc.value.code == 2
+        assert main(["regress-exp", "--reps", "2", "--out", str(tmp_path)]) == 2
 
     def test_manifests_list_only_read_options(self, tmp_path):
         out = tmp_path / "atom"

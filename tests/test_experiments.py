@@ -18,7 +18,8 @@ from wknn.experiments import (
     scenario_names,
     wasserstein_rate_experiment,
 )
-from wknn.rng import stream
+from wknn import rng
+from wknn.rng import indexed_map, stream
 
 
 class TestBuiltinScenarios:
@@ -139,6 +140,41 @@ class TestFitLoglog:
     def test_single_abscissa_rejected(self):
         with pytest.raises(InvalidInputError):
             fit_loglog([(10, 1.0), (10, 2.0)])
+
+
+class TestIndexedMap:
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        """Record the worker count of each pool; tasks run serially."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(rng, "ThreadPoolExecutor", FakePool)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "cpus, threads, count, expected",
+        [(1, 2, 5, []), (None, 2, 5, []), (4, 2, 5, [2]), (4, 8, 3, [3]), (2, 3, 9, [2])],
+    )
+    def test_workers_capped_at_cpus_and_tasks(self, monkeypatch, pools, cpus, threads,
+                                              count, expected):
+        monkeypatch.setattr(rng.os, "cpu_count", lambda: cpus)
+        assert indexed_map(lambda i: i * i, count, threads=threads) == [
+            i * i for i in range(count)
+        ]
+        assert pools == expected
 
 
 class TestRateExperiment:

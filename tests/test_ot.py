@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from wknn.core import (
     InvalidInputError,
@@ -240,8 +243,76 @@ class TestCertificate:
         with pytest.raises(NumericalError, match="duals infeasible"):
             _certify(a, b, cost, flow, np.ones(2), np.zeros(2))
 
+    def test_nan_duals_rejected(self):
+        a = b = np.array([0.5, 0.5])
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        flow = np.array([[0.5, 0.0], [0.0, 0.5]])
+        with pytest.raises(NumericalError):
+            _certify(a, b, cost, flow, np.array([0.0, np.nan]), np.zeros(2))
+
+    def test_overflowing_costs_rejected(self):
+        # |1e200 - (-1e200)|^2 overflows; the solver must not return a NaN cost.
+        src = validate_measure([[0.0], [1e200]], [0.5, 0.5])
+        tgt = validate_measure([[1.0], [-1e200]], [0.5, 0.5])
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflow"):
+            exact_wq(src, tgt, 2.0)
+
     def test_optimal_duals_accepted(self):
         a = b = np.array([0.5, 0.5])
         cost = np.array([[0.0, 1.0], [1.0, 0.0]])
         flow = np.array([[0.5, 0.0], [0.0, 0.5]])
         assert _certify(a, b, cost, flow, np.zeros(2), np.zeros(2)) == 0.0
+
+
+@st.composite
+def degenerate_measure(draw, d):
+    """Points on a small integer grid (so duplicates are common), integer masses
+    with zeros allowed and at least one positive (a single atom is common)."""
+    n = draw(st.integers(1, 7))
+    coords = draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    weights[draw(st.integers(0, n - 1))] += 1
+    w = np.asarray(weights, dtype=np.float64)
+    return validate_measure(np.asarray(coords, dtype=np.float64).reshape(n, d), w / w.sum())
+
+
+@st.composite
+def degenerate_pair(draw):
+    d = draw(st.integers(1, 2))
+    src = draw(degenerate_measure(d))
+    tgt = draw(degenerate_measure(d))
+    return src, tgt, float(draw(st.integers(1, 3))), draw(st.sampled_from(list(Norm)))
+
+
+def highs_cost(src, tgt, q, norm):
+    """Oracle: the same LP over the positive-mass points, solved by HiGHS."""
+    ka = np.flatnonzero(src.masses > 0)
+    kb = np.flatnonzero(tgt.masses > 0)
+    C = pairwise_distances(
+        Sample(src.points.points[ka]), Sample(tgt.points.points[kb]), norm
+    ) ** q
+    n, m = C.shape
+    A = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+    b = np.concatenate([src.masses[ka], tgt.masses[kb]])
+    res = linprog(C.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+class TestDegenerateInputs:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(pair=degenerate_pair())
+    def test_certified_vertex_matches_highs(self, pair):
+        src, tgt, q, norm = pair
+        cost, plan = exact_wq(src, tgt, q, norm)
+        row = np.zeros(src.size)
+        col = np.zeros(tgt.size)
+        for i, j, g in plan.entries:
+            row[i] += g
+            col[j] += g
+        np.testing.assert_allclose(row, src.masses, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(col, tgt.masses, rtol=0, atol=1e-9)
+        support = int(np.count_nonzero(src.masses)) + int(np.count_nonzero(tgt.masses))
+        assert len(plan.entries) <= support - 1
+        oracle = highs_cost(src, tgt, q, norm)
+        assert abs(cost - oracle) <= 1e-9 * max(1.0, abs(cost))

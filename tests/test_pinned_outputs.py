@@ -1,15 +1,20 @@
-"""Pinned output bytes of the Monte Carlo experiments and estimators.
+"""Pinned output bytes of the Monte Carlo experiments, estimators and exact LP.
 
 Each case runs at a small fixed size and hashes every emitted number:
 the records without their wall-time column, the summaries and the fit.
 The digests were computed before the four experiment loops were merged
 into one runner, so a refactor that changes a single bit fails here.
 The experiments run at one and at three threads against the same digest.
+The exact-LP digest covers the simplex's flow and duals and exact_wq's
+cost and plan; it was computed before the simplex kept its spanning tree
+across pivots.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
+from wknn.core import Sample, uniform_empirical, validate_measure
 from wknn.estimators import generalization_error_mc
 from wknn.experiments import (
     atom_consistency_experiment,
@@ -20,7 +25,11 @@ from wknn.experiments import (
     qi_experiment,
     wasserstein_rate_experiment,
 )
+from wknn.knn import neighbor_table
+from wknn.ot import _transport_simplex, exact_wq
+from wknn.rng import stream, uniform_open
 from wknn.theory import inv_density_moment
+from wknn.weights import knn_weights, weighted_measure
 
 
 def _digest(records=(), summaries=(), extra=()) -> str:
@@ -100,4 +109,43 @@ def test_inv_density_moment_bytes():
     est, stderr = inv_density_moment(scn.x_sampler, scn.log_density_xp, 2.0, 1, 500, seed=8)
     assert _digest(extra=[est, stderr]) == (
         "e55f7f6a10d5eea1bdb76be9adf241e0f524c1f1c55e074364d6c6eab1b81c72"
+    )
+
+
+def _lp_matrix_instances():
+    """(a, b, C) triples: random costs, tied integer costs, n=1, m=1 and 100x100."""
+    gen = stream(52, 0)
+    for n, m in [(1, 1), (1, 6), (7, 1), (4, 9), (12, 12), (23, 17), (100, 100)]:
+        a = -np.log(uniform_open(gen, n))
+        b = -np.log(uniform_open(gen, m))
+        a /= a.sum()
+        b *= a.sum() / b.sum()
+        yield a, b, uniform_open(gen, (n, m)) ** 2
+        # Integer costs in {0..3} with uniform masses tie on most pivots.
+        a = np.full(n, 1.0 / n)
+        yield a, np.full(m, 1.0 / m), gen.integers(0, 4, (n, m)).astype(np.float64)
+
+
+def _lp_measure_instances():
+    """exact_wq inputs, most with zero-mass support points (k-NN weights)."""
+    gen = stream(53, 0)
+    yield (validate_measure([[0.0], [5.0], [2.0]], [0.5, 0.0, 0.5]),
+           validate_measure([[1.0], [9.0]], [1.0, 0.0]), 1.0)
+    for n, m, k, d in [(9, 14, 1, 2), (15, 11, 2, 1), (30, 40, 4, 2), (20, 60, 1, 3)]:
+        ev = Sample(uniform_open(gen, (n, d)))
+        tr = Sample(gen.integers(0, 5, (m, d)).astype(np.float64))
+        wv = knn_weights(neighbor_table(ev, tr, k), m)
+        yield uniform_empirical(ev), weighted_measure(tr, wv), float(gen.integers(1, 4))
+
+
+def test_exact_lp_bytes():
+    h = hashlib.sha256()
+    for a, b, cost in _lp_matrix_instances():
+        for array in _transport_simplex(a, b, cost):
+            h.update(array.tobytes())
+    for src, tgt, q in _lp_measure_instances():
+        cost, plan = exact_wq(src, tgt, q)
+        h.update(repr((cost, plan.entries)).encode())
+    assert h.hexdigest() == (
+        "7c71c64084968996093345d09892a92305b7221d0968b48cfa5615dd6367f71a"
     )
