@@ -52,25 +52,11 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("WKNN_SEED", "0"))
-
-
-def _parse_grid_ints(text: str) -> list[int]:
+def _parse_grid(text: str, kind: type, name: str) -> list:
     try:
-        values = [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        values = [kind(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise InvalidInputError(f"bad integer grid {text!r}") from exc
-    if not values:
-        raise InvalidInputError("empty grid")
-    return values
-
-
-def _parse_grid_floats(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise InvalidInputError(f"bad float grid {text!r}") from exc
+        raise InvalidInputError(f"bad {name} grid {text!r}") from exc
     if not values:
         raise InvalidInputError("empty grid")
     return values
@@ -100,22 +86,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, out: bool) -> None:
+    def common(p: argparse.ArgumentParser, *, seed=False, threads=False, out=False) -> None:
         p.add_argument("--config", default=None, help="key=value config file; flags override")
         p.add_argument("--norm", default="l2", choices=["l1", "l2", "linf"])
-        p.add_argument("--seed", type=int, default=None, help="default: $WKNN_SEED or 0")
-        p.add_argument("--threads", type=int, default=1)
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="default: $WKNN_SEED or 0")
+        if threads:
+            p.add_argument("--threads", type=int, default=1)
         if out:
             p.add_argument("--out", default=None, help="output directory (required)")
 
     p_weights = sub.add_parser("weights", help="k-NN weight vector from two sample CSVs")
-    common(p_weights, out=False)
+    common(p_weights)
     p_weights.add_argument("--eval", dest="eval_csv", required=True)
     p_weights.add_argument("--train", dest="train_csv", required=True)
     p_weights.add_argument("--k", type=int, default=1)
 
     p_dist = sub.add_parser("distance", help="transport cost between two sample CSVs")
-    common(p_dist, out=False)
+    common(p_dist)
     p_dist.add_argument("--eval", dest="eval_csv", required=True)
     p_dist.add_argument("--train", dest="train_csv", required=True)
     p_dist.add_argument("--k", type=int, default=1)
@@ -123,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--exact", action="store_true", help="solve and certify the exact LP")
 
     p_rate = sub.add_parser("rate-exp", help="transport-cost decay experiment")
-    common(p_rate, out=True)
+    common(p_rate, seed=True, threads=True, out=True)
     p_rate.add_argument("--reps", type=int, default=None)
     p_rate.add_argument("--certify", action="store_true")
     p_rate.add_argument("--scenario", default="diag_uniform_gauss", choices=scenario_names())
@@ -134,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--q", type=float, default=2.0)
 
     p_qi = sub.add_parser("qi-exp", help="estimation-error experiment over s_corr")
-    common(p_qi, out=True)
+    common(p_qi, seed=True, threads=True, out=True)
     p_qi.add_argument("--reps", type=int, default=None)
     p_qi.add_argument("--scenario", default="diag_uniform_gauss", choices=scenario_names())
     p_qi.add_argument("--m", type=int, default=900)
@@ -143,20 +131,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_qi.add_argument("--scorr-grid", default="-0.9,0,0.9")
 
     p_atom = sub.add_parser("atom-demo", help="atom inconsistency demonstration")
-    common(p_atom, out=True)
+    common(p_atom, seed=True, threads=True, out=True)
     p_atom.add_argument("--reps", type=int, default=None)
     p_atom.add_argument("--m-grid", default="100,1000,10000")
     p_atom.add_argument("--n", type=int, default=100)
 
     p_reg = sub.add_parser("regress-exp", help="k-NN regression generalization error")
-    common(p_reg, out=True)
+    common(p_reg, seed=True, out=True)
     p_reg.add_argument("--scenario", default="diag_uniform_gauss", choices=scenario_names())
     p_reg.add_argument("--m", type=int, default=1000)
     p_reg.add_argument("--k", type=int, default=1)
     p_reg.add_argument("--n-test", type=int, default=500)
 
     p_const = sub.add_parser("constants", help="asymptotic constants for a scenario")
-    common(p_const, out=False)
+    common(p_const, seed=True)
     p_const.add_argument("--scenario", default="identity_1d_uniform", choices=scenario_names())
     p_const.add_argument("--q", type=float, default=2.0)
     p_const.add_argument("--draws", type=int, default=10000)
@@ -222,7 +210,7 @@ def _convert(action, raw: str):
 
 
 def _resolved_seed(args) -> int:
-    return _default_seed() if args.seed is None else int(args.seed)
+    return int(os.environ.get("WKNN_SEED", "0")) if args.seed is None else int(args.seed)
 
 
 def _require_out(args) -> Path:
@@ -289,7 +277,7 @@ def _cmd_rate_exp(args) -> int:
     rule = _parse_k_rule(args.k_rule)
     result = wasserstein_rate_experiment(
         scenario,
-        _parse_grid_ints(args.m_grid),
+        _parse_grid(args.m_grid, int, "integer"),
         args.n,
         rule,
         args.q,
@@ -319,7 +307,7 @@ def _cmd_qi_exp(args) -> int:
         args.m,
         args.n,
         args.k,
-        _parse_grid_floats(args.scorr_grid),
+        _parse_grid(args.scorr_grid, float, "float"),
         reps,
         seed,
         norm=norm,
@@ -338,7 +326,7 @@ def _cmd_atom_demo(args) -> int:
     out = _require_out(args)
     reps = 200 if args.reps is None else int(args.reps)
     result = atom_consistency_experiment(
-        _parse_grid_ints(args.m_grid),
+        _parse_grid(args.m_grid, int, "integer"),
         reps,
         seed,
         n=args.n,
@@ -428,7 +416,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             # argparse has printed usage or help: 2 for a usage error, 0 for --help.
             return int(exc.code or 0)
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise InvalidInputError(f"--threads must be at least 1, got {args.threads}")
         return _HANDLERS[args.command](args)
     except InvalidInputError as exc:

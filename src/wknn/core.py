@@ -3,6 +3,11 @@
 Everything in this module is immutable after construction and every
 operation is pure, so types and functions are safe to share across
 threads without synchronization.
+
+Validation happens once, at the boundary: public constructors check and
+copy input from outside the package, while values that wknn computes from
+input it has already checked are built with ``_trusted`` and frozen in
+place, with no second check and no copy.
 """
 from __future__ import annotations
 
@@ -43,6 +48,20 @@ class InvalidInputError(ValueError):
 
 class NumericalError(RuntimeError):
     """Raised when a computation cannot be certified to the required accuracy."""
+
+
+def _freeze(obj, **fields):
+    """Set fields on a frozen dataclass; arrays become read-only in place, uncopied."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _trusted(cls, **fields):
+    """A ``cls`` instance from fields wknn computed from checked input; no re-check."""
+    return _freeze(object.__new__(cls), **fields)
 
 
 def _check_q(q: float) -> float:
@@ -119,10 +138,7 @@ class Sample:
     points: np.ndarray
 
     def __post_init__(self):
-        arr = _as_points_array(self.points)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "points", arr)
+        _freeze(self, points=_as_points_array(self.points).copy())
 
     @property
     def size(self) -> int:
@@ -148,7 +164,7 @@ class LabeledSample:
 
     def __post_init__(self):
         if not isinstance(self.inputs, Sample):
-            object.__setattr__(self, "inputs", Sample(self.inputs))
+            _freeze(self, inputs=Sample(self.inputs))
         out = np.asarray(self.outputs, dtype=np.float64)
         if out.ndim == 1:
             out = out.reshape(-1, 1)
@@ -160,9 +176,7 @@ class LabeledSample:
             )
         if not np.all(np.isfinite(out)):
             raise InvalidInputError("outputs must be finite")
-        out = out.copy()
-        out.flags.writeable = False
-        object.__setattr__(self, "outputs", out)
+        _freeze(self, outputs=out.copy())
 
     @property
     def size(self) -> int:
@@ -182,32 +196,26 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         if not isinstance(self.points, Sample):
-            object.__setattr__(self, "points", Sample(self.points))
+            _freeze(self, points=Sample(self.points))
         masses = np.asarray(self.masses, dtype=np.float64).ravel()
-        _check_masses(self.points, masses)
-        masses = masses.copy()
-        masses.flags.writeable = False
-        object.__setattr__(self, "masses", masses)
+        if masses.size == 0:
+            raise InvalidInputError("a measure needs a nonempty support")
+        if masses.size != self.points.size:
+            raise InvalidInputError(
+                f"got {masses.size} masses for {self.points.size} support points"
+            )
+        if not np.all(np.isfinite(masses)):
+            raise InvalidInputError("masses must be finite")
+        if np.any(masses < 0.0):
+            raise InvalidInputError("masses must be nonnegative")
+        total = float(np.sum(masses))
+        if abs(total - 1.0) > MASS_TOL:
+            raise InvalidInputError(f"masses must sum to 1 within {MASS_TOL:g}, got {total!r}")
+        _freeze(self, masses=masses.copy())
 
     @property
     def size(self) -> int:
         return self.points.size
-
-
-def _check_masses(points: Sample, masses: np.ndarray) -> None:
-    if masses.size == 0:
-        raise InvalidInputError("a measure needs a nonempty support")
-    if masses.size != points.size:
-        raise InvalidInputError(
-            f"got {masses.size} masses for {points.size} support points"
-        )
-    if not np.all(np.isfinite(masses)):
-        raise InvalidInputError("masses must be finite")
-    if np.any(masses < 0.0):
-        raise InvalidInputError("masses must be nonnegative")
-    total = float(np.sum(masses))
-    if abs(total - 1.0) > MASS_TOL:
-        raise InvalidInputError(f"masses must sum to 1 within {MASS_TOL:g}, got {total!r}")
 
 
 def validate_measure(points, masses) -> DiscreteMeasure:
@@ -216,7 +224,7 @@ def validate_measure(points, masses) -> DiscreteMeasure:
     Rejects negative masses, a total mass off 1 by more than 1e-12, and
     an empty support.
     """
-    return DiscreteMeasure(points if isinstance(points, Sample) else Sample(points), masses)
+    return DiscreteMeasure(points, masses)
 
 
 def uniform_empirical(sample: Sample) -> DiscreteMeasure:

@@ -69,8 +69,6 @@ class Model:
 def qi_hat(wv: WeightVector, outputs, phi: Observable) -> float:
     """Weighted estimate of E[phi(Y)]: (1/m) sum_j w_j phi(Y'_j)."""
     out = np.asarray(outputs, dtype=np.float64)
-    if out.ndim == 1:
-        out = out.reshape(-1, 1)
     if out.shape[0] != wv.m:
         raise InvalidInputError(
             f"got {out.shape[0]} output rows for m={wv.m} weights"

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import DEFAULT_NORM, InvalidInputError, Norm, Sample, _reduce_norm, as_point
+from .core import _freeze, _trusted
 
 __all__ = ["NeighborTable", "knn_query", "neighbor_table", "KnnIndex", "build_index"]
 
@@ -66,12 +67,7 @@ class NeighborTable:
             raise InvalidInputError("each row must hold distinct training indices")
         if np.any(idx < 0):
             raise InvalidInputError("training indices must be nonnegative")
-        idx = idx.copy()
-        dist = dist.copy()
-        idx.flags.writeable = False
-        dist.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "distances", dist)
+        _freeze(self, indices=idx.copy(), distances=dist.copy())
 
     @property
     def n(self) -> int:
@@ -157,8 +153,6 @@ class KnnIndex:
     def __init__(self, train: Sample, norm: Norm = DEFAULT_NORM):
         if not isinstance(train, Sample):
             train = Sample(train)
-        if train.size == 0:
-            raise InvalidInputError("cannot index an empty sample")
         self._train = train.points
         self._norm = norm
         self._p = norm.p
@@ -255,4 +249,4 @@ def neighbor_table(
         idx, dist = KnnIndex(train, norm).query_batch(eval_sample.points, k)
     else:
         idx, dist = _brute_table(eval_sample.points, train.points, k, norm)
-    return NeighborTable(k=k, indices=idx, distances=dist)
+    return _trusted(NeighborTable, k=k, indices=idx, distances=dist)

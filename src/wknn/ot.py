@@ -328,9 +328,7 @@ def exact_wq(
     # Remove the residual imbalance (<= 1e-9) so the staircase basis closes.
     b = b * (float(np.sum(a)) / float(np.sum(b)))
 
-    pts_a = Sample(source.points.points[keep_a])
-    pts_b = Sample(target.points.points[keep_b])
-    C = pairwise_distances(pts_a, pts_b, norm) ** q
+    C = pairwise_distances(source.points.points[keep_a], target.points.points[keep_b], norm) ** q
     if not np.isfinite(C).all():
         raise NumericalError("transport costs overflow float64")
 

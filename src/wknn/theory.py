@@ -39,16 +39,28 @@ class RateConstant:
     value: float
 
 
+def _finite(what: str, compute: Callable[[], float]) -> float:
+    """``compute()`` as a float; NumericalError if a step leaves the float64 range."""
+    try:
+        value = float(compute())
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError(f"{what} is out of float64 range") from exc
+    if not math.isfinite(value):
+        raise NumericalError(f"{what} is out of float64 range")
+    return value
+
+
 def unit_ball_volume(d: int, norm: Norm = DEFAULT_NORM) -> float:
     """Volume of the unit ball of R^d for the given norm."""
     d = int(d)
     if d < 1:
         raise InvalidInputError("d must be a positive integer")
+    what = f"unit ball volume in dimension {d}"
     if norm is Norm.L2:
-        return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+        return _finite(what, lambda: math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0))
     if norm is Norm.L1:
-        return 2.0**d / math.factorial(d)
-    return 2.0**d
+        return _finite(what, lambda: 2.0**d / math.factorial(d))
+    return _finite(what, lambda: 2.0**d)
 
 
 def rate_constant(
@@ -60,7 +72,7 @@ def rate_constant(
     if moment <= 0.0:
         raise InvalidInputError("inv_density_moment must be positive")
     v_d = unit_ball_volume(d, norm)
-    value = math.gamma(1.0 + q / d) / v_d ** (q / d) * moment
+    value = _finite("rate constant", lambda: math.gamma(1.0 + q / d) / v_d ** (q / d) * moment)
     return RateConstant(q=q, d=int(d), v_d=v_d, inv_density_moment=moment, value=value)
 
 
@@ -76,12 +88,12 @@ def cdq(q: float, d: int, k_limit) -> float:
         raise InvalidInputError("d must be a positive integer")
     alpha = q / d
     if k_limit is None or k_limit == math.inf:
-        return 2.0 ** (alpha + 1.0) / (alpha + 1.0)
+        return _finite("cdq", lambda: 2.0 ** (alpha + 1.0) / (alpha + 1.0))
     k = int(k_limit)
     if k < 1:
         raise InvalidInputError("k_limit must be a positive integer or infinity")
     grid = np.arange(1, k + 1, dtype=np.float64) / k
-    return float(2.0 ** (alpha + 1.0) / k * np.sum(grid**alpha))
+    return _finite("cdq", lambda: 2.0 ** (alpha + 1.0) / k * np.sum(grid**alpha))
 
 
 def gaussian_moment_check(sigma: float, sigma_prime: float, q: float, d: int) -> bool:

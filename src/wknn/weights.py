@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteMeasure, InvalidInputError, Sample
+from .core import DiscreteMeasure, InvalidInputError, Sample, _freeze, _trusted
 from .knn import NeighborTable
 
 __all__ = ["WeightVector", "knn_weights", "weighted_measure"]
@@ -42,12 +42,7 @@ class WeightVector:
             raise InvalidInputError("counts must be nonnegative")
         if int(counts.sum()) != self.k * self.n:
             raise InvalidInputError("counts must sum to k*n")
-        counts = counts.copy()
-        w = w.copy()
-        counts.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "w", w)
+        _freeze(self, counts=counts.copy(), w=w.copy())
 
 
 def knn_weights(table: NeighborTable, m: int) -> WeightVector:
@@ -64,7 +59,7 @@ def knn_weights(table: NeighborTable, m: int) -> WeightVector:
     counts = np.bincount(idx.ravel(), minlength=m).astype(np.int64)
     n = table.n
     w = counts * (m / (table.k * n))
-    return WeightVector(k=table.k, n=n, m=m, counts=counts, w=w)
+    return _trusted(WeightVector, k=table.k, n=n, m=m, counts=counts, w=w)
 
 
 def weighted_measure(train: Sample, wv: WeightVector) -> DiscreteMeasure:
@@ -77,4 +72,4 @@ def weighted_measure(train: Sample, wv: WeightVector) -> DiscreteMeasure:
         )
     # counts/(k*n) equals w/m with one rounding fewer.
     masses = wv.counts / (wv.k * wv.n)
-    return DiscreteMeasure(train, masses)
+    return _trusted(DiscreteMeasure, points=train, masses=masses)

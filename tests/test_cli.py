@@ -87,6 +87,11 @@ class TestConstantsCommand:
         main(["constants", "--scenario", "gauss_gauss", "--q", "2", "--seed", "3"])
         assert capsys.readouterr().out == first
 
+    def test_large_q_exits_3(self, capsys):
+        # Gamma(1 + q/d) and 2^(q/d + 1) overflow float64 at q=1000, d=1.
+        assert main(["constants", "--scenario", "identity_1d_uniform", "--q", "1000"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestRateExpCommand:
     def run(self, out_dir, seed="7", extra=()):
@@ -269,6 +274,35 @@ class TestUnreadOptions:
     def test_reps_rejected_on_regress_exp(self, tmp_path):
         assert main(["regress-exp", "--reps", "2", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("weights", "seed"), ("weights", "threads"), ("distance", "seed"),
+         ("distance", "threads"), ("constants", "threads"), ("regress-exp", "threads")],
+    )
+    def test_unread_seed_and_threads_rejected(self, tmp_path, hand_instance, capsys,
+                                              command, flag):
+        ev, tr = hand_instance
+        argv = {
+            "weights": ["weights", "--eval", ev, "--train", tr],
+            "distance": ["distance", "--eval", ev, "--train", tr],
+            "constants": ["constants", "--draws", "10"],
+            "regress-exp": ["regress-exp", "--scenario", "identity_1d_uniform", "--m", "20",
+                            "--n-test", "5", "--out", str(tmp_path / "reg")],
+        }[command]
+        assert main([*argv, f"--{flag}", "2"]) == 2
+        assert f"--{flag}" in capsys.readouterr().err
+        cfg = tmp_path / "flag.cfg"
+        cfg.write_text(f"{flag} = 2\n")
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert f"unknown config key '{flag}'" in capsys.readouterr().err
+
+    def test_regress_manifest_has_no_threads(self, tmp_path):
+        out = tmp_path / "reg"
+        assert main(["regress-exp", "--scenario", "identity_1d_uniform", "--m", "20",
+                     "--n-test", "5", "--out", str(out)]) == 0
+        keys = {line.partition("=")[0] for line in read_lines(out / "manifest.txt")}
+        assert "seed" in keys and "threads" not in keys
+
     def test_manifests_list_only_read_options(self, tmp_path):
         out = tmp_path / "atom"
         assert main(["atom-demo", "--m-grid", "20,40", "--n", "5", "--reps", "2",
@@ -298,9 +332,58 @@ def experiment_argv(draw):
     return argv
 
 
+_Q = st.sampled_from(["0.5", "1", "2", "1e3", "nan"])
+
+
+@st.composite
+def tiny_sample(draw, d):
+    rows = draw(st.integers(1, 4))
+    coords = st.sampled_from([-2.0, 0.0, 0.5, 3.0])
+    return np.array(draw(st.lists(st.tuples(*[coords] * d), min_size=rows, max_size=rows)))
+
+
+@st.composite
+def other_argv(draw):
+    """Argument lists for the subcommands that take CSVs or print constants.
+
+    ``{eval}``, ``{train}`` and ``{out}`` are placeholders; the returned
+    dict maps each CSV placeholder to the points to write there.
+    """
+    command = draw(st.sampled_from(["weights", "distance", "regress-exp", "constants"]))
+    k = str(draw(_SIZE))
+    if command in {"weights", "distance"}:
+        d = draw(st.integers(1, 2))
+        # The training sample sometimes has another dimension: exit 2.
+        d_train = draw(st.sampled_from([d, 3 - d]))
+        csvs = {"{eval}": draw(tiny_sample(d)), "{train}": draw(tiny_sample(d_train))}
+        argv = [command, "--eval", "{eval}", "--train", "{train}", "--k", k]
+        if command == "distance":
+            argv += ["--q", draw(_Q)]
+            if draw(st.booleans()):
+                argv.append("--exact")
+        return argv, csvs
+    scenario = draw(st.sampled_from(["identity_1d_uniform", "gauss_gauss", "diag_uniform_gauss"]))
+    if command == "regress-exp":
+        return ["regress-exp", "--scenario", scenario, "--m", str(draw(_M)), "--k", k,
+                "--n-test", str(draw(st.integers(-1, 20))), "--seed", "1", "--out", "{out}"], {}
+    return ["constants", "--scenario", scenario, "--q", draw(_Q),
+            "--draws", str(draw(st.integers(-1, 50))), "--seed", "1"], {}
+
+
 class TestExitCodeProperty:
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(argv=experiment_argv())
     def test_experiments_exit_0_2_or_3(self, argv):
         with tempfile.TemporaryDirectory() as out:
             assert main([*argv, "--out", out]) in {0, 2, 3}
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(case=other_argv())
+    def test_other_commands_exit_0_2_or_3(self, case):
+        argv, csvs = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"{out}": tmp}
+            for name, points in csvs.items():
+                paths[name] = f"{tmp}/{name.strip('{}')}.csv"
+                write_sample_csv(paths[name], Sample(points))
+            assert main([paths.get(arg, arg) for arg in argv]) in {0, 2, 3}

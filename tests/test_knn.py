@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wknn.core import InvalidInputError, Norm, Sample
-from wknn.knn import KnnIndex, build_index, knn_query, neighbor_table
+from wknn.knn import KnnIndex, NeighborTable, build_index, knn_query, neighbor_table
 from wknn.rng import stream, uniform_open
 
 
@@ -87,6 +87,38 @@ class TestNeighborTable:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             neighbor_table(Sample([[0.0, 1.0]]), Sample([[0.0]]), 1)
+
+
+_ROW = np.array([[0, 1]])
+_DIST = np.array([[0.5, 1.0]])
+
+
+class TestNeighborTableConstructor:
+    """The public constructor checks and copies tables that come from outside."""
+
+    @pytest.mark.parametrize(
+        "k, indices, distances",
+        [
+            (2, _ROW, np.array([[0.5, 1.0, 2.0]])),  # shape mismatch
+            (3, _ROW, _DIST),  # k mismatch
+            (2, np.empty((0, 2), dtype=np.int64), np.empty((0, 2))),  # zero rows
+            (2, _ROW, np.array([[1.0, 0.5]])),  # decreasing row distances
+            (2, np.array([[1, 1]]), _DIST),  # repeated index in a row
+            (2, np.array([[-1, 0]]), _DIST),  # negative index
+        ],
+        ids=["shape", "k", "zero_rows", "decreasing", "repeated", "negative"],
+    )
+    def test_rejects_invalid_tables(self, k, indices, distances):
+        with pytest.raises(InvalidInputError):
+            NeighborTable(k=k, indices=indices, distances=distances)
+
+    def test_copies_and_freezes(self):
+        idx, dist = _ROW.copy(), _DIST.copy()
+        table = NeighborTable(k=2, indices=idx, distances=dist)
+        idx[0, 0], dist[0, 0] = 5, 0.0
+        np.testing.assert_array_equal(table.indices, _ROW)
+        np.testing.assert_array_equal(table.distances, _DIST)
+        assert not table.indices.flags.writeable and not table.distances.flags.writeable
 
 
 class TestIndexOracleEquivalence:

@@ -2,7 +2,12 @@
 
 ``KnnIndex.query_batch`` answers each distinct evaluation row once, and
 ``neighbor_table`` switches to the index at m = 32 when 2k < m. Both must
-stay bit for bit equal to ``_brute_table``, the dense oracle.
+stay bit for bit equal to ``_brute_table``, the dense oracle, also on
+adversarial coordinates.
+
+``neighbor_table``, ``knn_weights`` and ``weighted_measure`` build their
+results without the public constructors' checks; the properties here show
+that every such result would pass those checks unchanged.
 """
 import numpy as np
 import pytest
@@ -10,18 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wknn import knn
-from wknn.core import Norm, Sample
-from wknn.knn import KnnIndex, _brute_table, neighbor_table
+from wknn.core import DiscreteMeasure, Norm, Sample
+from wknn.knn import KnnIndex, NeighborTable, _brute_table, neighbor_table
 from wknn.rng import stream, uniform_open
+from wknn.weights import WeightVector, knn_weights, weighted_measure
 
 # A coarse grid of coordinates: distance ties are common and 0.0 is on it.
 _COORDS = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
 
 @st.composite
-def instances(draw):
+def instances(draw, m_min=2, m_max=70):
     norm = draw(st.sampled_from(list(Norm)))
     d = draw(st.integers(1, 3))
-    m = draw(st.integers(2, 70))
+    m = draw(st.integers(m_min, m_max))
     grid = draw(st.booleans())
     coord = _COORDS if grid else st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
     train = np.array(draw(st.lists(st.tuples(*[coord] * d), min_size=m, max_size=m)))
@@ -58,6 +64,57 @@ def test_repeated_rows_match_brute(case):
     assert_same_bits(KnnIndex(Sample(train), norm).query_batch(rows, k), want)
     table = neighbor_table(Sample(rows), Sample(train), k, norm)
     assert_same_bits((table.indices, table.distances), want)
+
+
+@st.composite
+def adversarial_instances(draw):
+    """Integer grids scaled to subnormal spacings or shifted by 1e12, some points
+    moved by one ulp: exact ties and near-ties under every norm."""
+    norm = draw(st.sampled_from(list(Norm)))
+    d = draw(st.integers(1, 3))
+    offset = draw(st.sampled_from([0.0, 1e12, -1e12]))
+    spacing = draw(st.sampled_from([0.25, 1.0, 5e-324, 1e-310, 2.0**-1060]))
+
+    def points(count):
+        grid = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=count,
+                             max_size=count))
+        pts = offset + spacing * np.array(grid, dtype=np.float64)
+        nudge = np.array(draw(st.lists(st.booleans(), min_size=pts.size, max_size=pts.size)))
+        pts.flat[nudge] = np.nextafter(pts.flat[nudge], np.inf)
+        return pts
+
+    m = draw(st.integers(2, 70))
+    train = points(m)
+    return points(draw(st.integers(1, 20))), train, draw(st.integers(1, m)), norm
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(adversarial_instances())
+def test_adversarial_coordinates_match_brute(case):
+    rows, train, k, norm = case
+    want = _brute_table(rows, train, k, norm)
+    assert_same_bits(KnnIndex(Sample(train), norm).query_batch(rows, k), want)
+
+
+@pytest.mark.parametrize("m_range", [(2, 31), (32, 70)], ids=["brute", "kdtree"])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_internal_results_pass_public_constructors(m_range, data):
+    rows, train, k, norm = data.draw(instances(*m_range))
+    tr = Sample(train)
+    table = neighbor_table(Sample(rows), tr, k, norm)
+    wv = knn_weights(table, tr.size)
+    mu = weighted_measure(tr, wv)
+    assert (table.k, table.n, wv.n) == (k, len(rows), len(rows)) and mu.points is tr
+    for built, public, fields in [
+        (table, NeighborTable(k=table.k, indices=table.indices, distances=table.distances),
+         ("indices", "distances")),
+        (wv, WeightVector(k=wv.k, n=wv.n, m=wv.m, counts=wv.counts, w=wv.w), ("counts", "w")),
+        (mu, DiscreteMeasure(mu.points, mu.masses), ("masses",)),
+    ]:
+        got = [getattr(built, f) for f in fields]
+        assert not any(a.flags.writeable for a in got)
+        assert_same_bits(got, [getattr(public, f) for f in fields])
 
 
 @pytest.mark.parametrize("m", [31, 32])

@@ -86,6 +86,31 @@ class TestCdq:
             assert cdq(q, d, 10**6) == pytest.approx(limit, rel=1e-4)
 
 
+class TestOverflow:
+    """Values beyond float64 raise NumericalError, never OverflowError."""
+
+    @pytest.mark.parametrize("d, norm", [(400, Norm.L2), (200, Norm.L1), (1100, Norm.LINF)])
+    def test_unit_ball_volume_large_d(self, d, norm):
+        with pytest.raises(NumericalError):
+            unit_ball_volume(d, norm)
+
+    @pytest.mark.parametrize("q, d", [(1e3, 1), (1e3, 100)])
+    def test_rate_constant_large_q(self, q, d):
+        # Gamma(1 + q/d) overflows at d=1; v_d^(q/d) underflows to 0 at d=100.
+        with pytest.raises(NumericalError):
+            rate_constant(q, d)
+
+    def test_rate_constant_huge_moment(self):
+        # Gamma(4) / (4/3)^3 * 1e308 is about 2.5e308.
+        with pytest.raises(NumericalError):
+            rate_constant(9.0, 3, Norm.L1, 1e308)
+
+    @pytest.mark.parametrize("k", [math.inf, 3])
+    def test_cdq_large_q(self, k):
+        with pytest.raises(NumericalError):
+            cdq(1e4, 1, k)
+
+
 class TestGaussianMomentCheck:
     def test_equal_scales_fails_strictly(self):
         # sigma'^2 > sigma^2 q/d must be strict: 1 > 1 is false

@@ -4,7 +4,7 @@ import pytest
 from wknn.core import InvalidInputError, Sample
 from wknn.knn import NeighborTable, neighbor_table
 from wknn.rng import stream
-from wknn.weights import knn_weights, weighted_measure
+from wknn.weights import WeightVector, knn_weights, weighted_measure
 
 
 def random_table(gen, n, m, k):
@@ -76,6 +76,32 @@ class TestKnnWeights:
         tr = Sample(gen.random((6, 2)))
         wv = knn_weights(neighbor_table(ev, tr, 6), 6)
         np.testing.assert_allclose(wv.w, np.ones(6), rtol=1e-15)
+
+
+class TestWeightVectorConstructor:
+    """The public constructor checks and copies vectors that come from outside."""
+
+    @pytest.mark.parametrize(
+        "counts, w",
+        [
+            ([2, 1], [4 / 3, 2 / 3, 0.0]),  # w has the wrong length
+            ([2, 1, 0, 0], [4 / 3, 2 / 3, 0.0, 0.0]),  # counts have the wrong length
+            ([4, -1, 0], [8 / 3, -2 / 3, 0.0]),  # negative count
+            ([2, 2, 0], [4 / 3, 4 / 3, 0.0]),  # counts sum to 4, not k*n = 3
+        ],
+        ids=["w_length", "counts_length", "negative", "sum"],
+    )
+    def test_rejects_invalid_vectors(self, counts, w):
+        with pytest.raises(InvalidInputError):
+            WeightVector(k=1, n=3, m=3, counts=np.array(counts), w=np.array(w))
+
+    def test_copies_and_freezes(self):
+        counts, w = np.array([2, 1, 0]), np.array([2.0, 1.0, 0.0])
+        wv = WeightVector(k=1, n=3, m=3, counts=counts, w=w)
+        counts[0], w[0] = 7, 7.0
+        np.testing.assert_array_equal(wv.counts, [2, 1, 0])
+        np.testing.assert_array_equal(wv.w, [2.0, 1.0, 0.0])
+        assert not wv.counts.flags.writeable and not wv.w.flags.writeable
 
 
 class TestWeightedMeasure:
