@@ -24,6 +24,8 @@ from .core import (
     Norm,
     NumericalError,
     Sample,
+    _write_lines,
+    _write_table,
     read_sample_csv,
     uniform_empirical,
 )
@@ -35,7 +37,6 @@ from .experiments import (
     const_k,
     power_k,
     qi_experiment,
-    noisy_rate_experiment,
     scenario_names,
     wasserstein_rate_experiment,
     write_ratefit_csv,
@@ -44,7 +45,7 @@ from .experiments import (
 )
 from .knn import neighbor_table
 from .ot import exact_wq, wq_knn_bound
-from .theory import inv_density_moment, cdq, rate_constant, unit_ball_volume, zador_exponent
+from .theory import cdq, inv_density_moment, rate_constant, zador_exponent
 from .weights import knn_weights, weighted_measure
 
 EXIT_OK = 0
@@ -222,17 +223,11 @@ def _require_out(args) -> Path:
 
 
 def _write_manifest(out: Path, args, extra: dict) -> None:
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k not in {"command", "config"}}
-    lines = [f"command={args.command}"]
-    for key, val in resolved.items():
-        lines.append(f"{key}={val}")
-    for key, val in sorted(extra.items()):
-        lines.append(f"{key}={val}")
-    lines.append(f"version.wknn={__version__}")
-    lines.append(f"version.python={platform.python_version()}")
-    lines.append(f"version.numpy={np.__version__}")
-    lines.append(f"version.scipy={scipy.__version__}")
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    resolved = [(k, v) for k, v in sorted(vars(args).items()) if k not in {"command", "config"}]
+    versions = [("version.wknn", __version__), ("version.python", platform.python_version()),
+                ("version.numpy", np.__version__), ("version.scipy", scipy.__version__)]
+    pairs = [("command", args.command), *resolved, *sorted(extra.items()), *versions]
+    _write_lines(out / "manifest.txt", [f"{key}={val}" for key, val in pairs])
 
 
 def _cmd_weights(args) -> int:
@@ -241,10 +236,7 @@ def _cmd_weights(args) -> int:
     train = _inputs_of(read_sample_csv(args.train_csv))
     table = neighbor_table(eval_sample, train, args.k, norm)
     wv = knn_weights(table, train.size)
-    lines = ["index,weight"]
-    for j, w in enumerate(wv.w):
-        lines.append(f"{j},{w:.17g}")
-    print("\n".join(lines))
+    _write_table(sys.stdout, ("index", "weight"), enumerate(wv.w))
     return EXIT_OK
 
 
@@ -262,8 +254,7 @@ def _cmd_distance(args) -> int:
     else:
         value = wq_knn_bound(eval_sample, train, args.k, args.q, norm)
         method = "closed_form_1nn" if args.k == 1 else "knn_bound"
-    print("wq_q_power,method")
-    print(f"{value:.17g},{method}")
+    _write_table(sys.stdout, ("wq_q_power", "method"), [(value, method)])
     return EXIT_OK
 
 
@@ -359,8 +350,7 @@ def _cmd_regress_exp(args) -> int:
         norm=norm,
         seed=seed,
     )
-    lines = ["mse,stderr,n_test", f"{mse:.17g},{stderr:.17g},{args.n_test}"]
-    (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_table(out / "summary.csv", ("mse", "stderr", "n_test"), [(mse, stderr, args.n_test)])
     _write_manifest(out, args, {"seed.resolved": seed, "statistic": "l2_generalization_error"})
     return EXIT_OK
 
@@ -375,25 +365,11 @@ def _cmd_constants(args) -> int:
         scenario.x_sampler, scenario.log_density_xp, args.q, scenario.d, args.draws, seed
     )
     const = rate_constant(args.q, scenario.d, norm, moment)
-    print(
-        "scenario,q,d,v_d,inv_density_moment,inv_density_moment_stderr,"
-        "rate_constant,cdq_inf,zador_exponent"
-    )
-    print(
-        ",".join(
-            [
-                scenario.name,
-                f"{args.q:.17g}",
-                str(scenario.d),
-                f"{const.v_d:.17g}",
-                f"{moment:.17g}",
-                f"{moment_se:.17g}",
-                f"{const.value:.17g}",
-                f"{cdq(args.q, scenario.d, math.inf):.17g}",
-                f"{zador_exponent(args.q, scenario.d):.17g}",
-            ]
-        )
-    )
+    columns = ("scenario", "q", "d", "v_d", "inv_density_moment", "inv_density_moment_stderr",
+               "rate_constant", "cdq_inf", "zador_exponent")
+    row = (scenario.name, args.q, scenario.d, const.v_d, moment, moment_se, const.value,
+           cdq(args.q, scenario.d, math.inf), zador_exponent(args.q, scenario.d))
+    _write_table(sys.stdout, columns, [row])
     return EXIT_OK
 
 

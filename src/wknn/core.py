@@ -8,6 +8,11 @@ Validation happens once, at the boundary: public constructors check and
 copy input from outside the package, while values that wknn computes from
 input it has already checked are built with ``_trusted`` and frozen in
 place, with no second check and no copy.
+
+This module also owns the text format of every table wknn emits (sample
+CSVs, experiment outputs and the CLI's stdout tables): ``_fmt`` writes
+floats with 17 significant digits and None as an empty field, and
+``_write_lines`` writes UTF-8 with LF line endings and a final LF.
 """
 from __future__ import annotations
 
@@ -268,10 +273,32 @@ def pairwise_distances(a, b, norm: Norm = DEFAULT_NORM) -> np.ndarray:
     return _reduce_norm(pa[:, None, :] - pb[None, :, :], norm)
 
 
-# --- CSV interchange -------------------------------------------------------
+# --- text format and CSV interchange --------------------------------------
 #
-# Format: header "x1,...,xd[,y1,...,ye]", one point per row, decimal-point
-# floats, UTF-8, LF line endings.
+# Sample CSV: header "x1,...,xd[,y1,...,ye]", one point per row.
+
+
+def _fmt(value) -> str:
+    """One CSV field: floats to 17 significant digits, None empty, else ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _write_lines(dest, lines) -> None:
+    """Write text lines, each ended by LF, to a path (as UTF-8) or an open text stream."""
+    text = "\n".join(lines) + "\n"
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        Path(dest).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _write_table(dest, columns, rows) -> None:
+    """The one CSV writer: a header of ``columns``, then one ``_fmt``-ed line per row."""
+    _write_lines(dest, [",".join(columns), *(",".join(map(_fmt, row)) for row in rows)])
 
 
 def _expected_header(d: int, e: int) -> list[str]:
@@ -330,7 +357,4 @@ def write_sample_csv(path, data: Union[Sample, LabeledSample]) -> None:
     else:
         d, e = data.dim, 0
         matrix = data.points
-    lines = [",".join(_expected_header(d, e))]
-    for row in matrix:
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_table(path, _expected_header(d, e), matrix)

@@ -7,7 +7,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import DEFAULT_NORM, InvalidInputError, LabeledSample, Norm, Sample
-from .knn import knn_query, neighbor_table
+from .knn import _check_k, knn_query, neighbor_table
 from .rng import _mean_stderr, stream
 from .weights import WeightVector
 
@@ -132,8 +132,7 @@ def generalization_error_mc(
     """
     if m <= 0 or n_test <= 0:
         raise InvalidInputError("m and n_test must be positive")
-    if not 1 <= k <= m:
-        raise InvalidInputError(f"k must satisfy 1 <= k <= {m}, got {k}")
+    k = _check_k(k, m)
 
     sq_errors = np.empty(n_test)
     for rep in range(n_test):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,6 +21,7 @@ from .core import (
     Norm,
     NumericalError,
     Sample,
+    _write_table,
     uniform_empirical,
 )
 from .estimators import Model, Observable, qi_hat
@@ -126,76 +126,78 @@ def _zero_theta(gen: np.random.Generator, size: int) -> np.ndarray:
     return np.zeros(size)
 
 
-def _identity_phi() -> Observable:
-    return Observable(fn=lambda y: y[:, 0], sup_bound=None)
+def _first_coordinate(x: np.ndarray) -> np.ndarray:
+    return x[:, 0]
 
 
-def _sine_model(noiseless: bool) -> Model:
-    if noiseless:
-        return Model(fn=lambda x, theta: _sine_surface(x), theta_sampler=_zero_theta)
-    return Model(
-        fn=lambda x, theta: _sine_surface(x) * (1.0 + theta),
-        theta_sampler=_uniform_theta,
+def _identity_phi(sup_bound: Optional[float]) -> Observable:
+    return Observable(fn=_first_coordinate, sup_bound=sup_bound)
+
+
+def _real(p: dict, key: str) -> float:
+    """Scenario parameter ``key`` as a finite float; overrides are outside input."""
+    try:
+        value = float(p[key])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{key} must be a finite real number, got {p[key]!r}")
+    return value
+
+
+def _sine_gauss(name: str, p: dict, x_sampler, qi: float) -> Scenario:
+    """Sine-surface model over the correlated 2-D Gaussian training law of ``p``."""
+    mu, sigma, s = _real(p, "mu"), _real(p, "sigma"), _real(p, "s_corr")
+    if not sigma > 0.0:
+        raise InvalidInputError("sigma must be positive")
+    if not -1.0 < s < 1.0:
+        raise InvalidInputError("s_corr must lie in (-1, 1)")
+    noiseless = bool(p["noiseless"])
+    # A noiseless draw is theta = 0, which leaves the surface bit for bit.
+    model = Model(fn=lambda x, theta: _sine_surface(x) * (1.0 + theta),
+                  theta_sampler=_zero_theta if noiseless else _uniform_theta)
+    theta_var = 0.0 if noiseless else 1.0 / 3.0
+    try:
+        log_density = _gaussian_2d_log_density(mu, sigma, s)
+    except (OverflowError, ValueError) as exc:  # sigma**4 (1 - s^2) left float64
+        raise InvalidInputError(f"sigma={sigma!r}, s_corr={s!r} give no finite density") from exc
+    return Scenario(
+        name=name, d=2, e=1, params=p, x_sampler=x_sampler,
+        xp_sampler=_gaussian_2d_sampler(mu, sigma, s), model=model,
+        phi=_identity_phi(1.0 if noiseless else 2.0), psi=_sine_surface, qi=qi,
+        vartheta=lambda x: _sine_surface(x) ** 2 * theta_var, log_density_xp=log_density,
     )
 
 
-def _check_gauss_params(p: dict) -> None:
-    if not (p["sigma"] > 0.0):
-        raise InvalidInputError("sigma must be positive")
-    if not (-1.0 < p["s_corr"] < 1.0):
-        raise InvalidInputError("s_corr must lie in (-1, 1)")
-
-
 def _build_diag_uniform_gauss(p: dict) -> Scenario:
-    _check_gauss_params(p)
-    mu, sigma, s = float(p["mu"]), float(p["sigma"]), float(p["s_corr"])
-    noiseless = bool(p["noiseless"])
-
     def x_sampler(gen, size):
         u = uniform_open(gen, size)
         return np.column_stack([u, u])
 
-    theta_var = 0.0 if noiseless else 1.0 / 3.0
-    return Scenario(
-        name="diag_uniform_gauss",
-        d=2,
-        e=1,
-        params=p,
-        x_sampler=x_sampler,
-        xp_sampler=_gaussian_2d_sampler(mu, sigma, s),
-        model=_sine_model(noiseless),
-        phi=Observable(fn=lambda y: y[:, 0], sup_bound=1.0 if noiseless else 2.0),
-        psi=_sine_surface,
-        qi=0.5,
-        vartheta=lambda x: _sine_surface(x) ** 2 * theta_var,
-        log_density_xp=_gaussian_2d_log_density(mu, sigma, s),
-    )
+    return _sine_gauss("diag_uniform_gauss", p, x_sampler, 0.5)
 
 
 def _build_atom_demo(p: dict) -> Scenario:
-    _check_gauss_params(p)
-    x0 = np.asarray(p["x0"], dtype=np.float64).reshape(2)
-    mu, sigma, s = float(p["mu"]), float(p["sigma"]), float(p["s_corr"])
-    noiseless = bool(p["noiseless"])
+    try:
+        x0 = np.asarray(p["x0"], dtype=np.float64)
+    except (TypeError, ValueError):
+        x0 = None
+    if x0 is None or x0.shape != (2,) or not np.isfinite(x0).all():
+        raise InvalidInputError(f"x0 must be a finite point in R^2, got {p['x0']!r}")
 
     def x_sampler(gen, size):
         return np.tile(x0, (size, 1))
 
-    theta_var = 0.0 if noiseless else 1.0 / 3.0
-    qi = float(_sine_surface(x0.reshape(1, 2))[0])
+    return _sine_gauss("atom_demo", p, x_sampler, float(_sine_surface(x0.reshape(1, 2))[0]))
+
+
+def _first_coordinate_scenario(name, p, d, x_sampler, xp_sampler, sup_bound, qi, log_density):
+    """Noiseless model f(x) = x_1, observed through the identity."""
     return Scenario(
-        name="atom_demo",
-        d=2,
-        e=1,
-        params=p,
-        x_sampler=x_sampler,
-        xp_sampler=_gaussian_2d_sampler(mu, sigma, s),
-        model=_sine_model(noiseless),
-        phi=Observable(fn=lambda y: y[:, 0], sup_bound=1.0 if noiseless else 2.0),
-        psi=_sine_surface,
-        qi=qi,
-        vartheta=lambda x: _sine_surface(x) ** 2 * theta_var,
-        log_density_xp=_gaussian_2d_log_density(mu, sigma, s),
+        name=name, d=d, e=1, params=p, x_sampler=x_sampler, xp_sampler=xp_sampler,
+        model=Model(fn=lambda x, theta: _first_coordinate(x), theta_sampler=_zero_theta),
+        phi=_identity_phi(sup_bound), psi=_first_coordinate, qi=qi,
+        vartheta=lambda x: np.zeros(x.shape[0]), log_density_xp=log_density,
     )
 
 
@@ -207,28 +209,16 @@ def _build_identity_1d_uniform(p: dict) -> Scenario:
         inside = np.all((x >= 0.0) & (x <= 1.0), axis=1)
         return np.where(inside, 0.0, -np.inf)
 
-    return Scenario(
-        name="identity_1d_uniform",
-        d=1,
-        e=1,
-        params=p,
-        x_sampler=unit_sampler,
-        xp_sampler=unit_sampler,
-        model=Model(fn=lambda x, theta: x[:, 0], theta_sampler=_zero_theta),
-        phi=Observable(fn=lambda y: y[:, 0], sup_bound=1.0),
-        psi=lambda x: x[:, 0],
-        qi=0.5,
-        vartheta=lambda x: np.zeros(x.shape[0]),
-        log_density_xp=log_density,
+    return _first_coordinate_scenario(
+        "identity_1d_uniform", p, 1, unit_sampler, unit_sampler, 1.0, 0.5, log_density
     )
 
 
 def _build_gauss_gauss(p: dict) -> Scenario:
-    d = int(p["d"])
-    sigma = float(p["sigma"])
-    sigma_prime = float(p["sigma_prime"])
-    if d < 1 or sigma <= 0.0 or sigma_prime <= 0.0:
-        raise InvalidInputError("gauss_gauss needs d >= 1 and positive scales")
+    d, sigma, sigma_prime = _real(p, "d"), _real(p, "sigma"), _real(p, "sigma_prime")
+    if not (d >= 1.0 and d.is_integer() and sigma > 0.0 and sigma_prime > 0.0):
+        raise InvalidInputError("gauss_gauss needs an integer d >= 1 and positive scales")
+    d = int(d)
 
     def x_sampler(gen, size):
         return sigma * standard_normal(gen, (size, d))
@@ -236,24 +226,16 @@ def _build_gauss_gauss(p: dict) -> Scenario:
     def xp_sampler(gen, size):
         return sigma_prime * standard_normal(gen, (size, d))
 
-    lognorm = -0.5 * d * math.log(2.0 * math.pi * sigma_prime**2)
+    try:
+        lognorm = -0.5 * d * math.log(2.0 * math.pi * sigma_prime**2)
+    except (OverflowError, ValueError) as exc:  # sigma_prime**2 left float64
+        raise InvalidInputError(f"sigma_prime={sigma_prime!r} gives no finite density") from exc
 
     def log_density(x):
         return lognorm - 0.5 * (x * x).sum(axis=1) / sigma_prime**2
 
-    return Scenario(
-        name="gauss_gauss",
-        d=d,
-        e=1,
-        params=p,
-        x_sampler=x_sampler,
-        xp_sampler=xp_sampler,
-        model=Model(fn=lambda x, theta: x[:, 0], theta_sampler=_zero_theta),
-        phi=Observable(fn=lambda y: y[:, 0], sup_bound=None),
-        psi=lambda x: x[:, 0],
-        qi=0.0,
-        vartheta=lambda x: np.zeros(x.shape[0]),
-        log_density_xp=log_density,
+    return _first_coordinate_scenario(
+        "gauss_gauss", p, d, x_sampler, xp_sampler, None, 0.0, log_density
     )
 
 
@@ -410,7 +392,7 @@ def _check_m_grid(m_grid: Sequence[int]) -> list[int]:
     return ms
 
 
-def _run_grid(points, cell, n, replications, base_seed, threads, columns=1):
+def _run_grid(points, cell, n, replications, base_seed, threads):
     """The one Monte Carlo loop: grid point -> replications -> records -> summaries.
 
     ``cell(point)`` returns one record label tuple (scenario, m, n, k, q,
@@ -421,8 +403,10 @@ def _run_grid(points, cell, n, replications, base_seed, threads, columns=1):
     """
     if replications < 1 or n < 1:
         raise InvalidInputError("replications and n must be positive")
+    if len(points) == 0:
+        raise InvalidInputError("the grid must not be empty")
     records = []
-    summaries = [[] for _ in range(columns)]
+    point_rows = []
     for point in points:
         labels, worker = cell(point)
 
@@ -436,10 +420,11 @@ def _run_grid(points, cell, n, replications, base_seed, threads, columns=1):
             share = secs / len(stats)
             for label, stat in zip(labels, stats):
                 records.append(RunRecord(*label, rep, base_seed, stat, share))
-        for col, rows in enumerate(summaries):
-            mean, stderr = _mean_stderr([stats[col] for stats, _ in outcomes])
-            rows.append(SummaryRow(float(point), mean, stderr, replications))
-    return tuple(records), [tuple(rows) for rows in summaries]
+        columns = zip(*(stats for stats, _ in outcomes))
+        point_rows.append(
+            [SummaryRow(float(point), *_mean_stderr(col), replications) for col in columns]
+        )
+    return tuple(records), list(zip(*point_rows))
 
 
 def _draw_labeled(scn: Scenario, base_seed: int, rep: int, n: int, m: int):
@@ -587,9 +572,8 @@ def atom_consistency_experiment(
         labels = [(scn.name, m, n, 1, 1.0, s_corr), (scn.name, m, n, k_big, 1.0, s_corr)]
         return labels, worker
 
-    records, (summary_1nn, summary_sqrt) = _run_grid(
-        m_grid, cell, n, replications, base_seed, threads, columns=2
-    )
+    records, (summary_1nn, summary_sqrt) = _run_grid(m_grid, cell, n, replications, base_seed,
+                                                      threads)
     return AtomExperimentResult(records, summary_1nn, summary_sqrt)
 
 
@@ -628,49 +612,23 @@ def noisy_rate_experiment(
 
 # --- CSV emitters ----------------------------------------------------------------
 
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+_RUNS_COLUMNS = ("scenario", "m", "n", "k", "q", "s_corr", "rep", "seed", "statistic", "seconds")
 
 
 def write_runs_csv(path, records: Sequence[RunRecord]) -> None:
-    lines = ["scenario,m,n,k,q,s_corr,rep,seed,statistic,seconds"]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    r.scenario,
-                    str(r.m),
-                    str(r.n),
-                    str(r.k),
-                    _fmt(r.q),
-                    _fmt(r.s_corr),
-                    str(r.rep),
-                    str(r.seed),
-                    _fmt(r.statistic),
-                    f"{r.seconds:.6f}",
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    rows = (
+        (r.scenario, r.m, r.n, r.k, r.q, r.s_corr, r.rep, r.seed, r.statistic,
+         f"{r.seconds:.6f}")
+        for r in records
+    )
+    _write_table(path, _RUNS_COLUMNS, rows)
 
 
 def write_summary_csv(path, rows: Sequence[SummaryRow], key_name: str) -> None:
-    lines = [f"{key_name},mean,stderr,count"]
-    for row in rows:
-        lines.append(
-            ",".join([_fmt(row.key), _fmt(row.mean), _fmt(row.stderr), str(row.count)])
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_table(path, (key_name, "mean", "stderr", "count"),
+                 ((row.key, row.mean, row.stderr, row.count) for row in rows))
 
 
 def write_ratefit_csv(path, fit: RateFit) -> None:
-    lines = [
-        "slope,intercept,rms",
-        ",".join([_fmt(fit.slope), _fmt(fit.intercept), _fmt(fit.residual_rms)]),
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_table(path, ("slope", "intercept", "rms"),
+                 [(fit.slope, fit.intercept, fit.residual_rms)])

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import DEFAULT_NORM, InvalidInputError, Norm, Sample, _reduce_norm, as_point
-from .core import _freeze, _trusted
+from .core import DEFAULT_NORM, InvalidInputError, Norm, NumericalError, Sample, as_point
+from .core import _freeze, _reduce_norm, _trusted
 
 __all__ = ["NeighborTable", "knn_query", "neighbor_table", "KnnIndex", "build_index"]
 
@@ -84,6 +84,12 @@ def _check_k(k: int, m: int) -> int:
 def _check_dims(d_query: int, d_train: int) -> None:
     if d_query != d_train:
         raise InvalidInputError(f"dimension mismatch: {d_query} vs {d_train}")
+
+
+def _check_finite_kth(kth: np.ndarray) -> None:
+    """NumericalError unless every k-th neighbor distance (a row's largest) is finite."""
+    if not np.isfinite(kth).all():
+        raise NumericalError("k-NN distances overflow float64")
 
 
 def _rank_block(dist_block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -171,14 +177,18 @@ class KnnIndex:
         return idx[0], dist[0]
 
     def query_batch(self, points, k: int):
+        """(indices, distances) of the k nearest training points, one row per query row.
+
+        Query rows must be finite; a neighbor distance that overflows
+        float64 raises NumericalError.
+        """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         _check_dims(pts.shape[1], self._train.shape[1])
-        m = self._train.shape[0]
-        k = _check_k(k, m)
-        if k == m:
-            return _brute_table(pts, self._train, k, self._norm)
+        k = _check_k(k, self._train.shape[0])
+        if not np.isfinite(pts).all():
+            raise InvalidInputError("query coordinates must be finite")
         # A row's neighbors depend only on its own coordinates, so repeated
         # rows are queried once and the answers gathered back.
         distinct = _distinct_rows(pts)
@@ -193,6 +203,9 @@ class KnnIndex:
         d0, i0 = self._tree.query(pts, k=kq, p=self._p)
         d0 = d0.reshape(len(pts), kq)
         i0 = i0.reshape(len(pts), kq)
+        # The tree marks a neighbor it cannot place at a finite distance
+        # with index m, so check before gathering the candidates.
+        _check_finite_kth(d0[:, k - 1])
 
         cand = self._train[i0[:, :k]]
         dist = _reduce_norm(pts[:, None, :] - cand, norm=self._norm)
@@ -212,8 +225,12 @@ class KnnIndex:
 
     def _query_exact(self, point: np.ndarray, k: int, radius: float):
         r = radius * (1.0 + 2.0 * _TIE_RTOL)
-        cand = self._tree.query_ball_point(point, r, p=self._p)
-        cand = np.asarray(cand, dtype=np.int64)
+        try:
+            cand = np.asarray(self._tree.query_ball_point(point, r, p=self._p), dtype=np.int64)
+        except ValueError:
+            # scipy refuses a ball query whose p-th powers of distances
+            # overflow float64 (1 < p < inf); the full scan below is exact.
+            cand = np.empty(0, dtype=np.int64)
         if cand.size < k:
             # Defensive: radius inflation should always retain >= k points.
             cand = np.arange(self._train.shape[0], dtype=np.int64)
@@ -238,6 +255,7 @@ def neighbor_table(
     Builds a kd-tree index when the training sample has at least 32 points
     and 2k < m, and runs the dense brute force otherwise; both paths produce
     identical tables. The index queries each distinct evaluation row once.
+    Raises NumericalError when a neighbor distance overflows float64.
     """
     if not isinstance(eval_sample, Sample):
         eval_sample = Sample(eval_sample)
@@ -249,4 +267,5 @@ def neighbor_table(
         idx, dist = KnnIndex(train, norm).query_batch(eval_sample.points, k)
     else:
         idx, dist = _brute_table(eval_sample.points, train.points, k, norm)
+        _check_finite_kth(dist[:, -1])
     return _trusted(NeighborTable, k=k, indices=idx, distances=dist)

@@ -56,9 +56,16 @@ class TransportPlan:
 
 
 def knn_transport_cost(table: NeighborTable, q: float) -> float:
-    """Average q-th power of the table distances: (1/(k n)) sum_i sum_l d_il^q."""
+    """Average q-th power of the table distances: (1/(k n)) sum_i sum_l d_il^q.
+
+    Raises NumericalError when the average overflows float64.
+    """
     q = _check_q(q)
-    return float(np.mean(table.distances**q))
+    with np.errstate(over="ignore"):
+        cost = float(np.mean(table.distances**q))
+    if not math.isfinite(cost):
+        raise NumericalError("transport cost overflows float64")
+    return cost
 
 
 def wq_1nn(eval_sample: Sample, train: Sample, q: float, norm: Norm = DEFAULT_NORM) -> float:

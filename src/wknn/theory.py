@@ -50,11 +50,17 @@ def _finite(what: str, compute: Callable[[], float]) -> float:
     return value
 
 
-def unit_ball_volume(d: int, norm: Norm = DEFAULT_NORM) -> float:
-    """Volume of the unit ball of R^d for the given norm."""
+def _check_d(d: int) -> int:
+    """Dimension d as an int; it must be at least 1."""
     d = int(d)
     if d < 1:
         raise InvalidInputError("d must be a positive integer")
+    return d
+
+
+def unit_ball_volume(d: int, norm: Norm = DEFAULT_NORM) -> float:
+    """Volume of the unit ball of R^d for the given norm."""
+    d = _check_d(d)
     what = f"unit ball volume in dimension {d}"
     if norm is Norm.L2:
         return _finite(what, lambda: math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0))
@@ -68,12 +74,13 @@ def rate_constant(
 ) -> RateConstant:
     """Constant Gamma(1+q/d)/v_d^{q/d} * moment, homogeneous in the moment."""
     q = _check_q(q)
+    d = _check_d(d)
     moment = float(inv_density_moment)
     if moment <= 0.0:
         raise InvalidInputError("inv_density_moment must be positive")
     v_d = unit_ball_volume(d, norm)
     value = _finite("rate constant", lambda: math.gamma(1.0 + q / d) / v_d ** (q / d) * moment)
-    return RateConstant(q=q, d=int(d), v_d=v_d, inv_density_moment=moment, value=value)
+    return RateConstant(q=q, d=d, v_d=v_d, inv_density_moment=moment, value=value)
 
 
 def cdq(q: float, d: int, k_limit) -> float:
@@ -83,10 +90,7 @@ def cdq(q: float, d: int, k_limit) -> float:
     k -> infinity: 2^{q/d+1} / (q/d + 1).
     """
     q = _check_q(q)
-    d = int(d)
-    if d < 1:
-        raise InvalidInputError("d must be a positive integer")
-    alpha = q / d
+    alpha = q / _check_d(d)
     if k_limit is None or k_limit == math.inf:
         return _finite("cdq", lambda: 2.0 ** (alpha + 1.0) / (alpha + 1.0))
     k = int(k_limit)
@@ -103,15 +107,15 @@ def gaussian_moment_check(sigma: float, sigma_prime: float, q: float, d: int) ->
     if sigma <= 0.0 or sigma_prime <= 0.0:
         raise InvalidInputError("scales must be positive")
     q = _check_q(q)
-    return sigma_prime**2 > sigma**2 * q / int(d)
+    d = _check_d(d)
+    lhs = _finite("sigma'^2", lambda: sigma_prime**2)
+    return lhs > _finite("sigma^2 q/d", lambda: sigma**2 * q / d)
 
 
 def zador_exponent(q: float, d: int) -> float:
     """Exponent d/(q+d): the variance-minimizing synthetic density is p_X^{d/(q+d)}."""
     q = _check_q(q)
-    d = int(d)
-    if d < 1:
-        raise InvalidInputError("d must be a positive integer")
+    d = _check_d(d)
     return d / (q + d)
 
 
@@ -129,9 +133,9 @@ def inv_density_moment(
     the density must be positive on the support of X.
     """
     q = _check_q(q)
-    d = int(d)
-    if d < 1 or n_draws < 1:
-        raise InvalidInputError("d and n_draws must be positive")
+    d = _check_d(d)
+    if n_draws < 1:
+        raise InvalidInputError("n_draws must be positive")
     gen = stream(seed, 0)
     x = np.asarray(x_sampler(gen, n_draws), dtype=np.float64)
     if x.ndim == 1:

@@ -22,7 +22,8 @@ class WeightVector:
     """Nonnegative weights over m training points, summing to m.
 
     Every weight is an integer multiple of m/(k*n); ``counts`` holds the
-    underlying selection counts (counts.sum() == k*n).
+    underlying selection counts (counts.sum() == k*n), and the constructor
+    rejects a ``w`` that disagrees with them.
     """
 
     k: int
@@ -42,6 +43,8 @@ class WeightVector:
             raise InvalidInputError("counts must be nonnegative")
         if int(counts.sum()) != self.k * self.n:
             raise InvalidInputError("counts must sum to k*n")
+        if not np.allclose(w, counts * (self.m / (self.k * self.n)), rtol=1e-12, atol=0.0):
+            raise InvalidInputError("w must equal counts * m/(k*n) within 1e-12 (relative)")
         _freeze(self, counts=counts.copy(), w=w.copy())
 
 

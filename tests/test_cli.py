@@ -1,3 +1,6 @@
+import contextlib
+import io
+import math
 import tempfile
 
 import numpy as np
@@ -70,6 +73,32 @@ class TestDistanceCommand:
         value, method = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(value) == 5.0
         assert method == "knn_bound"
+
+    def test_overflowing_cost_exits_3(self, hand_instance, capsys):
+        # The 2-NN distances reach 9, and 9**1000 overflows float64.
+        ev, tr = hand_instance
+        for extra in ([], ["--exact"]):
+            argv = ["distance", "--eval", ev, "--train", tr, "--q", "1e3", "--k", "2", *extra]
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "numerical failure" in captured.err
+
+
+class TestOverflowingDistances:
+    """An evaluation point whose distance to every training point overflows float64."""
+
+    @pytest.mark.parametrize("m", [5, 40], ids=["brute", "index"])
+    @pytest.mark.parametrize(
+        "argv", [["weights"], ["distance"], ["distance", "--exact"]],
+        ids=["weights", "distance", "exact"],
+    )
+    def test_exits_3(self, tmp_path, capsys, m, argv):
+        ev, tr = tmp_path / "eval.csv", tmp_path / "train.csv"
+        write_sample_csv(ev, Sample([[1e308, -1e308]]))
+        write_sample_csv(tr, Sample(np.random.default_rng(m).random((m, 2))))
+        assert main([*argv, "--eval", str(ev), "--train", str(tr)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "numerical failure" in captured.err
 
 
 class TestConstantsCommand:
@@ -336,10 +365,13 @@ _Q = st.sampled_from(["0.5", "1", "2", "1e3", "nan"])
 
 
 @st.composite
-def tiny_sample(draw, d):
-    rows = draw(st.integers(1, 4))
+def tiny_sample(draw, d, rows=st.integers(1, 4)):
+    """Points with coordinates in {-2, 0, 0.5, 3} times one scale up to 1e308 / 3."""
+    n = draw(rows)
+    scale = draw(st.sampled_from([1.0, 1e150, 1e308 / 3.0]))
     coords = st.sampled_from([-2.0, 0.0, 0.5, 3.0])
-    return np.array(draw(st.lists(st.tuples(*[coords] * d), min_size=rows, max_size=rows)))
+    points = draw(st.lists(st.tuples(*[coords] * d), min_size=n, max_size=n))
+    return scale * np.array(points)
 
 
 @st.composite
@@ -354,8 +386,12 @@ def other_argv(draw):
     if command in {"weights", "distance"}:
         d = draw(st.integers(1, 2))
         # The training sample sometimes has another dimension: exit 2.
-        d_train = draw(st.sampled_from([d, 3 - d]))
-        csvs = {"{eval}": draw(tiny_sample(d)), "{train}": draw(tiny_sample(d_train))}
+        d_train = draw(st.sampled_from([d, d, 3 - d]))
+        # Training samples on both sides of the kd-tree threshold m = 32.
+        m = st.one_of(st.integers(1, 4), st.integers(32, 36))
+        csvs = {"{eval}": draw(tiny_sample(d)), "{train}": draw(tiny_sample(d_train, m))}
+        # Mostly k = 1, which every sample size accepts.
+        k = str(draw(st.one_of(st.just(1), _SIZE)))
         argv = [command, "--eval", "{eval}", "--train", "{train}", "--k", k]
         if command == "distance":
             argv += ["--q", draw(_Q)]
@@ -377,13 +413,19 @@ class TestExitCodeProperty:
         with tempfile.TemporaryDirectory() as out:
             assert main([*argv, "--out", out]) in {0, 2, 3}
 
-    @settings(derandomize=True, max_examples=120, deadline=None)
+    @settings(derandomize=True, max_examples=200, deadline=None)
     @given(case=other_argv())
     def test_other_commands_exit_0_2_or_3(self, case):
         argv, csvs = case
-        with tempfile.TemporaryDirectory() as tmp:
+        stdout = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout):
             paths = {"{out}": tmp}
             for name, points in csvs.items():
                 paths[name] = f"{tmp}/{name.strip('{}')}.csv"
                 write_sample_csv(paths[name], Sample(points))
-            assert main([paths.get(arg, arg) for arg in argv]) in {0, 2, 3}
+            code = main([paths.get(arg, arg) for arg in argv])
+        assert code in {0, 2, 3}
+        if code == 0 and argv[0] in {"weights", "distance"}:
+            # Every printed weight or cost is finite; an overflow exits 3.
+            for line in stdout.getvalue().splitlines()[1:]:
+                assert math.isfinite(float(line.split(",")[0 if argv[0] == "distance" else 1]))

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from wknn.core import (
     uniform_empirical,
     validate_measure,
     write_sample_csv,
+    _write_table,
 )
 
 
@@ -147,6 +150,15 @@ class TestCsvRoundTrip:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.decode().splitlines()[0] == "x1"
+
+    def test_one_writer_for_paths_and_streams(self, tmp_path):
+        # Floats to 17 significant digits (numpy's included), None empty, the rest str().
+        rows = [(0.1, None, 3, "x"), (np.float64(1e-300), 2.5, np.int64(-1), "")]
+        path, stream = tmp_path / "t.csv", io.StringIO()
+        _write_table(path, ("a", "b", "c", "d"), rows)
+        _write_table(stream, ("a", "b", "c", "d"), rows)
+        want = b"a,b,c,d\n0.10000000000000001,,3,x\n1e-300,2.5,-1,\n"
+        assert path.read_bytes() == stream.getvalue().encode() == want
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

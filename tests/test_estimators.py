@@ -186,6 +186,14 @@ class TestGeneralizationErrorMc:
         )
         assert mse == pytest.approx(var / k, abs=4 * se)
 
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_k_out_of_range(self, k):
+        sampler = lambda g, s: uniform_open(g, (s, 1))
+        model = Model(fn=lambda x, theta: theta, theta_sampler=lambda g, s: np.zeros(s))
+        with pytest.raises(InvalidInputError, match=f"k must satisfy 1 <= k <= 5, got {k}"):
+            generalization_error_mc(model, sampler, sampler, lambda x: x[:, 0], m=5, k=k,
+                                    n_test=3)
+
     def test_k_equals_m_mean_of_noises(self):
         model = Model(fn=lambda x, theta: theta, theta_sampler=lambda g, s: uniform_open(g, s) - 0.5)
         var = 1.0 / 12.0

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from wknn.core import InvalidInputError, NumericalError
@@ -50,6 +52,35 @@ class TestBuiltinScenarios:
     def test_scorr_range_validated(self):
         with pytest.raises(InvalidInputError):
             builtin_scenario("diag_uniform_gauss", {"s_corr": 1.0})
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("atom_demo", {"x0": (1, 2, 3)}),
+            ("atom_demo", {"x0": "ab"}),
+            ("atom_demo", {"x0": (0.25, math.inf)}),
+            ("gauss_gauss", {"d": "x"}),
+            ("gauss_gauss", {"d": 2.5}),
+            ("gauss_gauss", {"d": 0}),
+            ("gauss_gauss", {"sigma_prime": math.nan}),
+            ("diag_uniform_gauss", {"sigma": "abc"}),
+            ("diag_uniform_gauss", {"mu": math.nan}),
+            ("diag_uniform_gauss", {"sigma": math.inf}),
+            ("atom_demo", {"s_corr": None}),
+            ("diag_uniform_gauss", {"sigma": 1e100}),  # sigma**4 overflows
+            ("diag_uniform_gauss", {"sigma": 1e-200}),  # sigma**4 underflows to 0
+            ("gauss_gauss", {"sigma_prime": 1e200}),
+            ("gauss_gauss", {"sigma_prime": 1e-200}),
+        ],
+    )
+    def test_bad_override_values_rejected(self, name, overrides):
+        with pytest.raises(InvalidInputError):
+            builtin_scenario(name, overrides)
+
+    def test_integral_dimension_accepted(self):
+        scn = builtin_scenario("gauss_gauss", {"d": 3.0})
+        assert scn.d == 3
+        assert scn.x_sampler(stream(64, 0), 5).shape == (5, 3)
 
     def test_diag_qi_by_quadrature(self):
         # E[sin(2 pi U)^2 (1 + Theta)] over U ~ U(0,1), Theta ~ U(-1,1)
@@ -253,6 +284,10 @@ class TestQiExperiment:
         means = [row.mean for row in res.summary]
         assert means[0] > means[1] > means[2]
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(InvalidInputError):
+            qi_experiment(builtin_scenario("diag_uniform_gauss"), 10, 10, 1, [], 2, 0)
+
     def test_deterministic_across_threads(self):
         scn = builtin_scenario("diag_uniform_gauss")
         a = qi_experiment(scn, 60, 50, 4, [0.0, 0.5], 12, 9, threads=1)
@@ -321,3 +356,85 @@ class TestNoisyRateExperiment:
             scn, [200, 400, 800, 1600, 3200], 100, 100, 33, k_rule=const_k(1), threads=4
         )
         assert fit.slope == pytest.approx(-0.5, abs=0.15)
+
+
+# --- byte identity across thread counts ---------------------------------------
+
+_M_GRID = st.lists(st.integers(1, 60), min_size=1, max_size=3, unique=True).map(sorted)
+_N = st.integers(1, 8)
+_REPS = st.integers(1, 4)
+_SEED = st.integers(0, 2**32)
+
+
+def _emitted(records, *rest) -> str:
+    """Every number an experiment emits except the wall-time column, as text."""
+    return repr(([dataclasses.replace(r, seconds=0.0) for r in records], rest))
+
+
+@st.composite
+def rate_runs(draw):
+    scn = builtin_scenario(draw(st.sampled_from(scenario_names())))
+    ms = draw(_M_GRID)
+    rule = draw(st.sampled_from([const_k(1), const_k(ms[0]), power_k(0.5)]))
+    args = (scn, ms, draw(_N), rule, draw(st.sampled_from([1.0, 2.0, 3.5])), draw(_REPS),
+            draw(_SEED))
+    certify = draw(st.booleans())
+
+    def run(threads):
+        res = wasserstein_rate_experiment(*args, threads=threads, certify=certify)
+        return _emitted(res.records, res.summary, res.fit, res.statistic)
+
+    return run
+
+
+@st.composite
+def qi_runs(draw):
+    scn = builtin_scenario(draw(st.sampled_from(["diag_uniform_gauss", "atom_demo"])))
+    m = draw(st.integers(1, 60))
+    s_grid = draw(st.lists(st.sampled_from([-0.9, -0.5, 0.0, 0.5, 0.9]), min_size=1,
+                           max_size=3))
+    args = (scn, m, draw(_N), draw(st.integers(1, m)), s_grid, draw(_REPS), draw(_SEED))
+
+    def run(threads):
+        res = qi_experiment(*args, threads=threads)
+        return _emitted(res.records, res.summary)
+
+    return run
+
+
+@st.composite
+def atom_runs(draw):
+    scn = builtin_scenario("atom_demo", {"noiseless": draw(st.booleans())})
+    args = (draw(_M_GRID), draw(_REPS), draw(_SEED))
+    n = draw(_N)
+
+    def run(threads):
+        res = atom_consistency_experiment(*args, scenario=scn, n=n, threads=threads)
+        return _emitted(res.records, res.summary_1nn, res.summary_sqrt)
+
+    return run
+
+
+@st.composite
+def noisy_runs(draw):
+    scn = builtin_scenario(draw(st.sampled_from(["diag_uniform_gauss", "atom_demo"])))
+    ms = draw(st.lists(st.integers(2, 60), min_size=2, max_size=3, unique=True).map(sorted))
+    args = (scn, ms, draw(_N), draw(_REPS), draw(_SEED))
+
+    def run(threads):
+        res, fit = noisy_rate_experiment(*args, threads=threads)
+        return _emitted(res.records, res.summary, fit)
+
+    return run
+
+
+class TestThreadCountProperty:
+    """Records (wall time excluded), summaries and fits match at one and two threads."""
+
+    @pytest.mark.parametrize("runs", [rate_runs, qi_runs, atom_runs, noisy_runs],
+                             ids=["rate", "qi", "atom", "noisy"])
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_same_bytes_at_one_and_two_threads(self, runs, data):
+        run = data.draw(runs())
+        assert run(2) == run(1)

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wknn import knn
-from wknn.core import DiscreteMeasure, Norm, Sample
-from wknn.knn import KnnIndex, NeighborTable, _brute_table, neighbor_table
+from wknn.core import DiscreteMeasure, InvalidInputError, Norm, NumericalError, Sample
+from wknn.knn import KnnIndex, NeighborTable, _brute_table, knn_query, neighbor_table
 from wknn.rng import stream, uniform_open
 from wknn.weights import WeightVector, knn_weights, weighted_measure
 
@@ -136,3 +136,36 @@ def test_dispatch_boundary(monkeypatch, m, norm):
         table = neighbor_table(Sample(rows), Sample(train), k, norm)
         assert len(builds) == (1 if m >= 32 and 2 * k < m else 0)
         assert_same_bits((table.indices, table.distances), _brute_table(rows, train, k, norm))
+
+
+@pytest.mark.parametrize("m", [5, 40], ids=["brute", "kdtree"])
+@pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+def test_overflowing_distances_raise(m, norm):
+    train = uniform_open(stream(10, m), (m, 2))
+    far = np.array([[1e308, -1e308]])
+    with pytest.raises(NumericalError):
+        neighbor_table(Sample(far), Sample(train), 1, norm)
+    with pytest.raises(NumericalError):
+        KnnIndex(Sample(train), norm).query_batch(far, 1)
+    # The brute-force references stay unguarded.
+    assert np.isinf(_brute_table(far, train, 1, norm)[1]).all()
+    assert np.isinf(knn_query(far[0], Sample(train), 1, norm)[1]).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_query_batch_rejects_non_finite_rows(bad):
+    index = KnnIndex(Sample(uniform_open(stream(12, 0), (40, 2))))
+    with pytest.raises(InvalidInputError):
+        index.query_batch(np.array([[0.5, 0.5], [bad, 0.5]]), 1)
+
+
+@pytest.mark.parametrize("norm", list(Norm))
+def test_far_training_point_matches_brute(norm):
+    """A training point so far out that scipy refuses the tie re-check's ball query
+    (its squared distances overflow), while the k nearest stay close and tied."""
+    gen = stream(11, 0)
+    train = np.vstack([np.round(uniform_open(gen, (39, 2)) * 4) / 4, [[1e200, 0.0]]])
+    rows = np.round(uniform_open(gen, (20, 2)) * 8) / 8
+    for k in (1, 2, 5):
+        want = _brute_table(rows, train, k, norm)
+        assert_same_bits(KnnIndex(Sample(train), norm).query_batch(rows, k), want)

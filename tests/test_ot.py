@@ -64,6 +64,12 @@ class TestClosedForms:
     def test_bound_hand_value(self):
         assert wq_knn_bound(Sample([1.0, 2.0, 9.0]), Sample([0.0, 10.0]), 2, 1.0) == 5.0
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_overflowing_cost_raises(self, k):
+        # Distances of 3 raised to the power 1000 overflow float64.
+        with pytest.raises(NumericalError):
+            wq_knn_bound(Sample([0.0, 6.0]), Sample([3.0, 9.0]), k, 1e3)
+
     def test_q_validation(self):
         ev, tr = Sample([0.0]), Sample([1.0])
         with pytest.raises(InvalidInputError):

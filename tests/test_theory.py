@@ -110,6 +110,34 @@ class TestOverflow:
         with pytest.raises(NumericalError):
             cdq(1e4, 1, k)
 
+    def test_gaussian_moment_check_huge_scale(self):
+        # sigma'^2 = 1e400 is beyond float64.
+        with pytest.raises(NumericalError):
+            gaussian_moment_check(1.0, 1e200, 2.0, 1)
+
+
+class TestDimensionCheck:
+    """Every function that takes a dimension rejects d < 1 the same way."""
+
+    @pytest.mark.parametrize("d", [0, -1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d: unit_ball_volume(d),
+            lambda d: rate_constant(2.0, d),
+            lambda d: cdq(2.0, d, 3),
+            lambda d: gaussian_moment_check(1.0, 2.0, 2.0, d),
+            lambda d: zador_exponent(2.0, d),
+            lambda d: inv_density_moment(lambda g, n: np.zeros((n, 1)), lambda x: np.zeros(len(x)),
+                                         2.0, d, 10),
+        ],
+        ids=["unit_ball_volume", "rate_constant", "cdq", "gaussian_moment_check",
+             "zador_exponent", "inv_density_moment"],
+    )
+    def test_d_below_one_rejected(self, call, d):
+        with pytest.raises(InvalidInputError, match="d must be a positive integer"):
+            call(d)
+
 
 class TestGaussianMomentCheck:
     def test_equal_scales_fails_strictly(self):

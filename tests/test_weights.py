@@ -88,12 +88,20 @@ class TestWeightVectorConstructor:
             ([2, 1, 0, 0], [4 / 3, 2 / 3, 0.0, 0.0]),  # counts have the wrong length
             ([4, -1, 0], [8 / 3, -2 / 3, 0.0]),  # negative count
             ([2, 2, 0], [4 / 3, 4 / 3, 0.0]),  # counts sum to 4, not k*n = 3
+            ([2, 1, 0], [0.0, 0.0, 3.0]),  # w disagrees with counts * m/(k*n)
+            ([2, 1, 0], [2.0, 1.0 + 1e-11, 0.0]),  # off by more than 1e-12 (relative)
+            ([2, 1, 0], [2.0, np.nan, 0.0]),
         ],
-        ids=["w_length", "counts_length", "negative", "sum"],
+        ids=["w_length", "counts_length", "negative", "sum", "w_counts", "w_rounding", "w_nan"],
     )
     def test_rejects_invalid_vectors(self, counts, w):
         with pytest.raises(InvalidInputError):
             WeightVector(k=1, n=3, m=3, counts=np.array(counts), w=np.array(w))
+
+    def test_accepts_w_within_tolerance(self):
+        wv = WeightVector(k=2, n=3, m=3, counts=np.array([4, 2, 0]),
+                          w=np.array([2.0, 1.0 + 1e-13, 0.0]))
+        assert wv.w[1] == 1.0 + 1e-13
 
     def test_copies_and_freezes(self):
         counts, w = np.array([2, 1, 0]), np.array([2.0, 1.0, 0.0])
