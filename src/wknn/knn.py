@@ -266,6 +266,7 @@ def neighbor_table(
     if train.size >= _INDEX_THRESHOLD and 2 * k < train.size:
         idx, dist = KnnIndex(train, norm).query_batch(eval_sample.points, k)
     else:
-        idx, dist = _brute_table(eval_sample.points, train.points, k, norm)
+        with np.errstate(over="ignore"):  # reported by the guard below
+            idx, dist = _brute_table(eval_sample.points, train.points, k, norm)
         _check_finite_kth(dist[:, -1])
     return _trusted(NeighborTable, k=k, indices=idx, distances=dist)

@@ -9,11 +9,14 @@ specialization), not an entropic approximation: it returns a vertex plan
 and certifies optimality through a feasible dual with a relative
 complementary-slackness gap below 1e-9.
 
-The simplex keeps its basis as a spanning tree over the rows and columns,
-rooted at row 0: a parent, a depth and a potential (dual) per node. A
-pivot finds its cycle by climbing parent pointers from both ends of the
-entering arc, and re-hangs from the entering arc only the subtree that
-the leaving arc cuts off, recomputing the potentials there alone.
+The simplex starts from the matrix-minimum basis: repeatedly, the cheapest
+cell whose row and column are both still open (ties to the lowest flat
+index) ships all it can, and one of its two lines closes. The basis is
+kept as a spanning tree over the rows and columns, rooted at row 0: a
+parent, a depth and a potential (dual) per node. A pivot finds its cycle
+by climbing parent pointers from both ends of the entering arc, and
+re-hangs from the entering arc only the subtree that the leaving arc cuts
+off, recomputing the potentials there alone.
 """
 from __future__ import annotations
 
@@ -102,33 +105,40 @@ def wq_1d_uniform_oracle(a, b, q: float) -> float:
 # --- exact transportation LP ------------------------------------------------
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Initial basic feasible solution on the staircase; exactly n+m-1 cells."""
-    n, m = a.size, b.size
-    flow = np.zeros((n, m))
-    basic: list[tuple[int, int]] = []
-    arem = a.copy()
-    brem = b.copy()
-    i = j = 0
-    while True:
+def _matrix_minimum(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> dict:
+    """First basic feasible solution by the matrix-minimum rule.
+
+    Takes the cheapest cell whose row and column are both open (ties to
+    the lowest flat index) and ships min(arem[i], brem[j]) through it,
+    then crosses out its row if arem[i] <= brem[j] and its column
+    otherwise. The last open row and the last open column stay open until
+    the final cell, so the n+m-1 cells form a spanning tree. Returns the
+    flow of each cell by flat index.
+    """
+    n, m = C.shape
+    rows, cols = np.divmod(np.argsort(C, axis=None, kind="stable"), m)
+    arem = a.tolist()
+    brem = b.tolist()
+    row_open = [True] * n
+    col_open = [True] * m
+    rows_left, cols_left = n, m
+    tree_flow = {}
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if not (row_open[i] and col_open[j]):
+            continue
         t = min(arem[i], brem[j])
-        if t < 0.0:
-            t = 0.0
-        flow[i, j] = t
-        basic.append((i, j))
+        tree_flow[i * m + j] = t
+        if rows_left == 1 and cols_left == 1:
+            break
         arem[i] -= t
         brem[j] -= t
-        if i == n - 1 and j == m - 1:
-            break
-        if j == m - 1:
-            i += 1
-        elif i == n - 1:
-            j += 1
-        elif arem[i] <= brem[j]:
-            i += 1
+        if cols_left == 1 or (rows_left > 1 and arem[i] <= brem[j]):
+            row_open[i] = False
+            rows_left -= 1
         else:
-            j += 1
-    return flow, basic
+            col_open[j] = False
+            cols_left -= 1
+    return tree_flow
 
 
 def _hang(top, up, adj, parent, depth, pot, edge, cost, n, m):
@@ -174,9 +184,9 @@ def _hang(top, up, adj, parent, depth, pot, edge, cost, n, m):
     return count
 
 
-def _flow_matrix(flow, tree_flow):
-    """Write the basic cells' flows into ``flow`` and 0.0 everywhere else."""
-    flow.fill(0.0)
+def _flow_matrix(n, m, tree_flow):
+    """The n x m flow: the basic cells' flows and 0.0 everywhere else."""
+    flow = np.zeros((n, m))
     flow.ravel()[list(tree_flow)] = list(tree_flow.values())
     return flow
 
@@ -184,10 +194,12 @@ def _flow_matrix(flow, tree_flow):
 def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     """Solve min <flow, C> over the transportation polytope (a, b).
 
-    Entering arc: most negative reduced cost, ties to the lowest (i, j);
-    after a deterministic iteration budget, falls back to Bland's rule
-    (first negative in lexicographic order) which cannot cycle. Leaving
-    arc ties also resolve to the lowest (i, j). Fully deterministic.
+    First basis: the matrix-minimum rule (``_matrix_minimum``), cheapest
+    open cell first with ties to the lowest flat index. Entering arc: most
+    negative reduced cost, ties to the lowest (i, j); after a
+    deterministic iteration budget, falls back to Bland's rule (first
+    negative in lexicographic order) which cannot cycle. Leaving arc ties
+    also resolve to the lowest (i, j). Fully deterministic.
 
     The basis is a spanning tree over rows 0..n-1 and columns n..n+m-1,
     rooted at row 0, kept as a parent, a depth, a parent-edge cell and a
@@ -201,17 +213,18 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     full recomputation bit for bit.
     """
     n, m = C.shape
-    flow, basic = _northwest_corner(a, b)
     # Flow of each basic cell by flat index; every other cell carries 0.0.
-    tree_flow = {i * m + j: float(flow[i, j]) for (i, j) in basic}
+    tree_flow = _matrix_minimum(a, b, C)
     cost = C.item  # cost(f): the cost of flat cell f as a Python float
     adj = [[] for _ in range(n + m)]
-    for (i, j) in basic:
+    for f in tree_flow:
+        i, j = divmod(f, m)
         adj[i].append(n + j)
         adj[n + j].append(i)
     parent = [-1] * (n + m)
     depth = [0] * (n + m)
-    edge = np.full(n + m, -1, dtype=np.intp)  # an array: it indexes the mask
+    # An array, because it indexes the reduced-cost buffer `red`.
+    edge = np.full(n + m, -1, dtype=np.intp)
     pot = [0.0] * (n + m)
     if _hang(0, -1, adj, parent, depth, pot, edge, cost, n, m) != n + m:
         raise NumericalError("transport basis lost its spanning-tree structure")
@@ -234,11 +247,11 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         if it < bland_after:
             flat = int(red.argmin())
             if red[flat] >= -eps:
-                return _flow_matrix(flow, tree_flow), u, v
+                return _flow_matrix(n, m, tree_flow), u, v
         else:
             negatives = np.flatnonzero(red < -eps)
             if negatives.size == 0:
-                return _flow_matrix(flow, tree_flow), u, v
+                return _flow_matrix(n, m, tree_flow), u, v
             flat = int(negatives[0])
         p, qc = divmod(flat, m)
 
@@ -332,10 +345,14 @@ def exact_wq(
     keep_b = np.flatnonzero(target.masses > 0.0)
     a = source.masses[keep_a].astype(np.float64)
     b = target.masses[keep_b].astype(np.float64)
-    # Remove the residual imbalance (<= 1e-9) so the staircase basis closes.
+    # Remove the residual imbalance (<= 1e-9) so the first basis's final
+    # cell closes both its row and its column.
     b = b * (float(np.sum(a)) / float(np.sum(b)))
 
-    C = pairwise_distances(source.points.points[keep_a], target.points.points[keep_b], norm) ** q
+    pa = source.points.points[keep_a]
+    pb = target.points.points[keep_b]
+    with np.errstate(over="ignore"):  # reported by the check below
+        C = pairwise_distances(pa, pb, norm) ** q
     if not np.isfinite(C).all():
         raise NumericalError("transport costs overflow float64")
 

@@ -141,7 +141,8 @@ def inv_density_moment(
     if x.ndim == 1:
         x = x.reshape(-1, 1)
     logs = np.asarray(log_density_xp(x), dtype=np.float64).reshape(-1)
-    vals = np.exp(-(q / d) * logs)
+    with np.errstate(over="ignore"):  # reported by the check below
+        vals = np.exp(-(q / d) * logs)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite density evaluation in moment estimate")
     return _mean_stderr(vals)

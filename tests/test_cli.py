@@ -101,6 +101,19 @@ class TestOverflowingDistances:
         assert captured.out == "" and "numerical failure" in captured.err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowWithoutWarnings(TestOverflowingDistances):
+    """The overflow cases again, with any numpy RuntimeWarning raised as an
+    error: the overflow must reach the user only as the exit-3 message."""
+
+    def test_exact_large_q_exits_3(self, hand_instance, capsys):
+        # The 1-NN costs stay finite; the full cost matrix holds 9**1000.
+        ev, tr = hand_instance
+        assert main(["distance", "--eval", ev, "--train", tr, "--q", "1e3", "--exact"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "numerical failure" in captured.err
+
+
 class TestConstantsCommand:
     def test_identity_row_contains_half(self, capsys):
         assert main(["constants", "--scenario", "identity_1d_uniform", "--q", "1"]) == 0

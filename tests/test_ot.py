@@ -17,7 +17,17 @@ from wknn.core import (
     validate_measure,
 )
 from wknn.knn import neighbor_table
-from wknn.ot import _certify, exact_wq, wq_1d_uniform_oracle, wq_1nn, wq_knn_bound
+from wknn.ot import (
+    _certify,
+    _flow_matrix,
+    _hang,
+    _matrix_minimum,
+    _transport_simplex,
+    exact_wq,
+    wq_1d_uniform_oracle,
+    wq_1nn,
+    wq_knn_bound,
+)
 from wknn.rng import stream, uniform_open
 from wknn.weights import knn_weights, weighted_measure
 
@@ -322,3 +332,67 @@ class TestDegenerateInputs:
         assert len(plan.entries) <= support - 1
         oracle = highs_cost(src, tgt, q, norm)
         assert abs(cost - oracle) <= 1e-9 * max(1.0, abs(cost))
+
+
+@st.composite
+def first_basis_instance(draw):
+    """(a, b, C): random, tied integer or all-zero costs; masses drawn with a
+    residual imbalance up to 1e-9, then rescaled as exact_wq does."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "ties", "zero"]))
+    if kind == "random":
+        cells = st.floats(0.0, 10.0, allow_nan=False)
+    elif kind == "ties":
+        cells = st.integers(0, 3)
+    else:
+        cells = st.just(0.0)
+    C = np.asarray(draw(st.lists(cells, min_size=n * m, max_size=n * m)), dtype=np.float64)
+    mass = st.one_of(st.integers(1, 4), st.floats(1e-3, 1.0))
+    a = np.asarray(draw(st.lists(mass, min_size=n, max_size=n)), dtype=np.float64)
+    b = np.asarray(draw(st.lists(mass, min_size=m, max_size=m)), dtype=np.float64)
+    a /= a.sum()
+    b *= (1.0 + draw(st.floats(-1e-9, 1e-9))) / b.sum()
+    return a, b * (a.sum() / b.sum()), C.reshape(n, m)
+
+
+class TestFirstBasis:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(inst=first_basis_instance())
+    def test_feasible_spanning_tree(self, inst):
+        a, b, C = inst
+        n, m = C.shape
+        tree_flow = _matrix_minimum(a, b, C)
+        assert len(tree_flow) == n + m - 1
+        flow = _flow_matrix(n, m, tree_flow)
+        assert (flow >= 0.0).all()
+        assert np.max(np.abs(flow.sum(axis=1) - a)) <= 1e-12
+        assert np.max(np.abs(flow.sum(axis=0) - b)) <= 1e-12
+        adj = [[] for _ in range(n + m)]
+        for f in tree_flow:
+            i, j = divmod(f, m)
+            adj[i].append(n + j)
+            adj[n + j].append(i)
+        parent, depth, pot = [-1] * (n + m), [0] * (n + m), [0.0] * (n + m)
+        edge = np.full(n + m, -1, dtype=np.intp)
+        # n+m-1 cells that reach all n+m nodes form a spanning tree.
+        assert _hang(0, -1, adj, parent, depth, pot, edge, C.item, n, m) == n + m
+
+    def test_zero_cost_permutation_is_the_first_basis(self):
+        # Uniform masses, cost 0 on a permuted diagonal and positive elsewhere:
+        # the permutation is the unique optimum, and the cheapest-cell start
+        # ships all the mass along it. (The northwest corner starts on the
+        # diagonal and would need pivots.)
+        n = 6
+        perm = np.array([3, 0, 5, 1, 4, 2])
+        gen = stream(41, 0)
+        C = 1.0 + uniform_open(gen, (n, n))
+        C[np.arange(n), perm] = 0.0
+        a = b = np.full(n, 1.0 / n)
+        optimum = np.zeros((n, n))
+        optimum[np.arange(n), perm] = 1.0 / n
+        start = _flow_matrix(n, n, _matrix_minimum(a, b, C))
+        np.testing.assert_array_equal(start, optimum)
+        flow, u, v = _transport_simplex(a, b, C)
+        np.testing.assert_array_equal(flow, optimum)
+        assert _certify(a, b, C, flow, u, v) == 0.0

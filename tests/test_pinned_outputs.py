@@ -6,8 +6,10 @@ The digests were computed before the four experiment loops were merged
 into one runner, so a refactor that changes a single bit fails here.
 The experiments run at one and at three threads against the same digest.
 The exact-LP digest covers the simplex's flow and duals and exact_wq's
-cost and plan; it was computed before the simplex kept its spanning tree
-across pivots.
+cost and plan. A degenerate optimum may end at another vertex or other
+duals when the pivot path changes, so each LP instance's optimal cost is
+also pinned on its own: those costs were recorded while the simplex still
+started from the northwest corner, and hold for any correct start.
 """
 import hashlib
 
@@ -26,7 +28,7 @@ from wknn.experiments import (
     wasserstein_rate_experiment,
 )
 from wknn.knn import neighbor_table
-from wknn.ot import _transport_simplex, exact_wq
+from wknn.ot import _certify, _transport_simplex, exact_wq
 from wknn.rng import stream, uniform_open
 from wknn.theory import inv_density_moment
 from wknn.weights import knn_weights, weighted_measure
@@ -138,6 +140,29 @@ def _lp_measure_instances():
         yield uniform_empirical(ev), weighted_measure(tr, wv), float(gen.integers(1, 4))
 
 
+# Optimal cost of each instance, matrix instances first, as the simplex
+# found them from its northwest-corner start.
+LP_COSTS = [
+    0.018891151480974432, 3.0, 0.45501252756767413, 0.9999999999999999,
+    0.44697933706422793, 1.1428571428571428, 0.18649776529895623,
+    0.5555555555555556, 0.01597898931662063, 0.0, 0.026998432367040456,
+    0.058823529411764705, 0.0014109552003463996, 0.0,
+    1.0, 0.0887794211991647, 0.2638919948843118, 0.20190794561686987,
+    0.5047160573935784,
+]
+
+
+def test_exact_lp_costs():
+    costs = [
+        _certify(a, b, cost, *_transport_simplex(a, b, cost))
+        for a, b, cost in _lp_matrix_instances()
+    ]
+    costs += [exact_wq(src, tgt, q)[0] for src, tgt, q in _lp_measure_instances()]
+    assert len(costs) == len(LP_COSTS)
+    for got, pinned in zip(costs, LP_COSTS):
+        assert abs(got - pinned) <= 1e-12 * max(1.0, abs(pinned))
+
+
 def test_exact_lp_bytes():
     h = hashlib.sha256()
     for a, b, cost in _lp_matrix_instances():
@@ -147,5 +172,5 @@ def test_exact_lp_bytes():
         cost, plan = exact_wq(src, tgt, q)
         h.update(repr((cost, plan.entries)).encode())
     assert h.hexdigest() == (
-        "7c71c64084968996093345d09892a92305b7221d0968b48cfa5615dd6367f71a"
+        "24a161354854eaa697d2921527706fda823d72c6ddc7a6c5e2fb595dd8eeda00"
     )

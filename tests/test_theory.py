@@ -115,6 +115,13 @@ class TestOverflow:
         with pytest.raises(NumericalError):
             gaussian_moment_check(1.0, 1e200, 2.0, 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inv_density_moment_overflow_without_warning(self):
+        # exp(1000) overflows; the caller sees NumericalError and no RuntimeWarning.
+        with pytest.raises(NumericalError):
+            inv_density_moment(lambda g, n: np.zeros((n, 1)), lambda x: np.full(len(x), -1e3),
+                               1.0, 1, 10)
+
 
 class TestDimensionCheck:
     """Every function that takes a dimension rejects d < 1 the same way."""
