@@ -8,12 +8,17 @@ test suite enforces on random instances including duplicated points.
 
 ``neighbor_table`` queries a kd-tree once the training sample has at
 least 32 points and 2k < m; smaller samples and larger k take the dense
-brute force, which the tests also keep as the oracle. The index answers
-each distinct evaluation row once and copies the answer to its repeats.
+brute force, which the tests also keep as the oracle. On the kd-tree path
+``neighbor_table`` is the one place that deduplicates evaluation rows: it
+queries each distinct row once, and the ``NeighborTable`` it returns keeps
+those answers plus a map from the n rows into them, so repeated rows cost
+one answer each until a caller reads the full (n, k) arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -40,38 +45,84 @@ _INDEX_THRESHOLD = 32
 _BLOCK_BUDGET = 4_000_000
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class NeighborTable:
     """Per-evaluation-point neighbor indices and distances.
 
-    Row i holds the k nearest training indices for evaluation point i,
-    ordered by (distance, index); distances are nondecreasing along rows.
+    Row i of ``indices`` holds the k nearest training indices for evaluation
+    point i, ordered by (distance, index); ``distances`` holds their
+    distances, nondecreasing along rows. Both are read-only (n, k) arrays.
+
+    A table that ``neighbor_table`` builds from repeated evaluation rows
+    stores the answers of the u distinct rows and a length-n map into them.
+    ``indices`` and ``distances`` expand that map on first read and keep
+    the result; ``selection_counts`` never expands it. A table built by
+    this constructor has no map.
     """
 
     k: int
-    indices: np.ndarray
-    distances: np.ndarray
+    _idx: np.ndarray  # (u, k) neighbor indices of the distinct rows
+    _dist: np.ndarray  # (u, k) neighbor distances of the distinct rows
+    _row_of: Optional[np.ndarray]  # row i's answer is row _row_of[i]; None when u == n
 
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        dist = np.asarray(self.distances, dtype=np.float64)
+    def __init__(self, k: int, indices, distances):
+        idx = np.asarray(indices, dtype=np.int64)
+        dist = np.asarray(distances, dtype=np.float64)
         if idx.ndim != 2 or idx.shape != dist.shape:
             raise InvalidInputError("indices and distances must be matching (n, k) arrays")
-        if self.k <= 0 or idx.shape[1] != self.k:
+        if k <= 0 or idx.shape[1] != k:
             raise InvalidInputError("k must be positive and match the table width")
         if idx.shape[0] == 0:
             raise InvalidInputError("a neighbor table needs at least one row")
         if np.any(np.diff(dist, axis=1) < 0):
             raise InvalidInputError("row distances must be nondecreasing")
-        if self.k > 1 and np.any(np.diff(np.sort(idx, axis=1), axis=1) == 0):
+        if k > 1 and np.any(np.diff(np.sort(idx, axis=1), axis=1) == 0):
             raise InvalidInputError("each row must hold distinct training indices")
         if np.any(idx < 0):
             raise InvalidInputError("training indices must be nonnegative")
-        _freeze(self, indices=idx.copy(), distances=dist.copy())
+        _freeze(self, k=k, _idx=idx.copy(), _dist=dist.copy(), _row_of=None)
 
     @property
     def n(self) -> int:
-        return self.indices.shape[0]
+        """Number of evaluation rows, repeats included."""
+        return len(self._idx if self._row_of is None else self._row_of)
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._idx if self._row_of is None else self._full_idx
+
+    @property
+    def distances(self) -> np.ndarray:
+        return self._dist if self._row_of is None else self._full_dist
+
+    @cached_property
+    def _full_idx(self) -> np.ndarray:
+        return self._expand(self._idx)
+
+    @cached_property
+    def _full_dist(self) -> np.ndarray:
+        return self._expand(self._dist)
+
+    def _expand(self, answers: np.ndarray) -> np.ndarray:
+        full = answers[self._row_of]
+        full.flags.writeable = False
+        return full
+
+    def selection_counts(self, m: int) -> np.ndarray:
+        """How many of the n*k (row, rank) pairs select each of m training points.
+
+        Equals ``np.bincount(indices.ravel(), minlength=m)`` as int64, but
+        counts each distinct row's k indices once, weighted by how often the
+        row repeats. Raises InvalidInputError if an index is not below m.
+        """
+        if np.any(self._idx >= m):
+            raise InvalidInputError("neighbor index out of range for m training points")
+        if self._row_of is None:
+            return np.bincount(self._idx.ravel(), minlength=m).astype(np.int64)
+        repeats = np.bincount(self._row_of, minlength=len(self._idx))
+        # Float64 sums of integers stay exact below 2**53, far above n*k.
+        counts = np.bincount(self._idx.ravel(), weights=np.repeat(repeats, self.k), minlength=m)
+        return counts.astype(np.int64)
 
 
 def _check_k(k: int, m: int) -> int:
@@ -162,7 +213,10 @@ class KnnIndex:
         self._train = train.points
         self._norm = norm
         self._p = norm.p
-        self._tree = cKDTree(self._train)
+        # Sliding-midpoint splits build faster than median splits and answer
+        # queries as fast; the re-ranking below makes the output independent
+        # of the tree's shape.
+        self._tree = cKDTree(self._train, balanced_tree=False, compact_nodes=False)
 
     @property
     def size(self) -> int:
@@ -179,8 +233,9 @@ class KnnIndex:
     def query_batch(self, points, k: int):
         """(indices, distances) of the k nearest training points, one row per query row.
 
-        Query rows must be finite; a neighbor distance that overflows
-        float64 raises NumericalError.
+        Every row is answered, repeated or not; ``neighbor_table`` passes
+        only distinct rows. Query rows must be finite; a neighbor distance
+        that overflows float64 raises NumericalError.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
@@ -189,16 +244,6 @@ class KnnIndex:
         k = _check_k(k, self._train.shape[0])
         if not np.isfinite(pts).all():
             raise InvalidInputError("query coordinates must be finite")
-        # A row's neighbors depend only on its own coordinates, so repeated
-        # rows are queried once and the answers gathered back.
-        distinct = _distinct_rows(pts)
-        if distinct is None:
-            return self._query_rows(pts, k)
-        unique, inverse = distinct
-        idx, dist = self._query_rows(unique, k)
-        return idx[inverse], dist[inverse]
-
-    def _query_rows(self, pts: np.ndarray, k: int):
         kq = k + 1
         d0, i0 = self._tree.query(pts, k=kq, p=self._p)
         d0 = d0.reshape(len(pts), kq)
@@ -234,7 +279,10 @@ class KnnIndex:
         if cand.size < k:
             # Defensive: radius inflation should always retain >= k points.
             cand = np.arange(self._train.shape[0], dtype=np.int64)
-        dist = _reduce_norm(point[None, :] - self._train[cand], norm=self._norm)
+        # The full scan may square a far point's difference past float64;
+        # the k kept are within the k-th distance, which the caller checked.
+        with np.errstate(over="ignore"):
+            dist = _reduce_norm(point[None, :] - self._train[cand], norm=self._norm)
         order = np.lexsort((cand, dist))[:k]
         return cand[order], dist[order]
 
@@ -254,8 +302,10 @@ def neighbor_table(
 
     Builds a kd-tree index when the training sample has at least 32 points
     and 2k < m, and runs the dense brute force otherwise; both paths produce
-    identical tables. The index queries each distinct evaluation row once.
-    Raises NumericalError when a neighbor distance overflows float64.
+    identical tables. The index path queries each distinct evaluation row
+    once, and the table keeps one answer per distinct row (see
+    ``NeighborTable``). Raises NumericalError when a neighbor distance
+    overflows float64.
     """
     if not isinstance(eval_sample, Sample):
         eval_sample = Sample(eval_sample)
@@ -263,10 +313,16 @@ def neighbor_table(
         train = Sample(train)
     _check_dims(eval_sample.dim, train.dim)
     k = _check_k(k, train.size)
+    row_of = None
     if train.size >= _INDEX_THRESHOLD and 2 * k < train.size:
-        idx, dist = KnnIndex(train, norm).query_batch(eval_sample.points, k)
+        # A row's neighbors depend only on its own coordinates.
+        rows = eval_sample.points
+        distinct = _distinct_rows(rows)
+        if distinct is not None:
+            rows, row_of = distinct
+        idx, dist = KnnIndex(train, norm).query_batch(rows, k)
     else:
         with np.errstate(over="ignore"):  # reported by the guard below
             idx, dist = _brute_table(eval_sample.points, train.points, k, norm)
         _check_finite_kth(dist[:, -1])
-    return _trusted(NeighborTable, k=k, indices=idx, distances=dist)
+    return _trusted(NeighborTable, k=k, _idx=idx, _dist=dist, _row_of=row_of)

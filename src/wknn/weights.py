@@ -51,15 +51,14 @@ class WeightVector:
 def knn_weights(table: NeighborTable, m: int) -> WeightVector:
     """Weight vector induced by a neighbor table over m training points.
 
-    w_j = (m / (k*n)) * #{(i, l) : table row i rank l selects j}.
+    w_j = (m / (k*n)) * #{(i, l) : table row i rank l selects j}. The counts
+    come from ``NeighborTable.selection_counts``, so a table with repeated
+    rows is counted once per distinct row and never expanded to (n, k).
     """
     m = int(m)
     if m <= 0:
         raise InvalidInputError("m must be positive")
-    idx = table.indices
-    if np.any(idx >= m):
-        raise InvalidInputError("neighbor index out of range for m training points")
-    counts = np.bincount(idx.ravel(), minlength=m).astype(np.int64)
+    counts = table.selection_counts(m)
     n = table.n
     w = counts * (m / (table.k * n))
     return _trusted(WeightVector, k=table.k, n=n, m=m, counts=counts, w=w)

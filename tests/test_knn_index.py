@@ -1,9 +1,11 @@
 """The kd-tree path against the brute force on evaluation sets with repeated rows.
 
-``KnnIndex.query_batch`` answers each distinct evaluation row once, and
-``neighbor_table`` switches to the index at m = 32 when 2k < m. Both must
+``neighbor_table`` switches to the index at m = 32 when 2k < m, queries
+each distinct evaluation row once there and keeps one answer per distinct
+row; ``KnnIndex.query_batch`` answers every row it is given. Both must
 stay bit for bit equal to ``_brute_table``, the dense oracle, also on
-adversarial coordinates.
+adversarial coordinates, and ``knn_weights`` must count a table with
+repeated rows without expanding it.
 
 ``neighbor_table``, ``knn_weights`` and ``weighted_measure`` build their
 results without the public constructors' checks; the properties here show
@@ -63,7 +65,31 @@ def test_repeated_rows_match_brute(case):
     want = _brute_table(rows, train, k, norm)
     assert_same_bits(KnnIndex(Sample(train), norm).query_batch(rows, k), want)
     table = neighbor_table(Sample(rows), Sample(train), k, norm)
+    assert table.n == len(rows)
+    counts = knn_weights(table, len(train)).counts
+    assert_same_bits([counts], [np.bincount(want[0].ravel(), minlength=len(train))])
     assert_same_bits((table.indices, table.distances), want)
+
+
+@pytest.mark.parametrize("norm", list(Norm))
+def test_weights_never_expand_repeated_rows(monkeypatch, norm):
+    """10^4 identical rows: knn_weights counts the one distinct answer and
+    reads neither (n, k) array."""
+    train = uniform_open(stream(13, 0), (400, 2))
+    rows = np.full((10_000, 2), 0.25)
+    table = neighbor_table(Sample(rows), Sample(train), 20, norm)
+    want = _brute_table(rows[:1], train, 20, norm)[0]
+
+    def refuse(self):
+        raise AssertionError("knn_weights expanded the table")
+
+    monkeypatch.setattr(NeighborTable, "indices", property(refuse))
+    monkeypatch.setattr(NeighborTable, "distances", property(refuse))
+    monkeypatch.setattr(NeighborTable, "_expand", refuse)
+    wv = knn_weights(table, len(train))
+    assert (wv.n, wv.k) == (10_000, 20)
+    assert_same_bits([wv.counts], [np.bincount(np.repeat(want, 10_000, axis=0).ravel(),
+                                               minlength=len(train))])
 
 
 @st.composite
@@ -159,13 +185,16 @@ def test_query_batch_rejects_non_finite_rows(bad):
         index.query_batch(np.array([[0.5, 0.5], [bad, 0.5]]), 1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("norm", list(Norm))
 def test_far_training_point_matches_brute(norm):
     """A training point so far out that scipy refuses the tie re-check's ball query
-    (its squared distances overflow), while the k nearest stay close and tied."""
+    (its squared distances overflow), while the k nearest stay close and tied.
+    The index answers without a numpy warning; only the unguarded oracle overflows."""
     gen = stream(11, 0)
     train = np.vstack([np.round(uniform_open(gen, (39, 2)) * 4) / 4, [[1e200, 0.0]]])
     rows = np.round(uniform_open(gen, (20, 2)) * 8) / 8
     for k in (1, 2, 5):
-        want = _brute_table(rows, train, k, norm)
+        with np.errstate(over="ignore"):
+            want = _brute_table(rows, train, k, norm)
         assert_same_bits(KnnIndex(Sample(train), norm).query_batch(rows, k), want)
