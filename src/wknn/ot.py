@@ -114,9 +114,17 @@ def _matrix_minimum(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> dict:
     otherwise. The last open row and the last open column stay open until
     the final cell, so the n+m-1 cells form a spanning tree. Returns the
     flow of each cell by flat index.
+
+    Distinct costs have one sorted order, so the default (unstable, much
+    faster) argsort gives it; only when two costs tie does the stable sort
+    run, to break the tie by flat index.
     """
     n, m = C.shape
-    rows, cols = np.divmod(np.argsort(C, axis=None, kind="stable"), m)
+    order = np.argsort(C, axis=None)
+    ranked = C.ravel()[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.argsort(C, axis=None, kind="stable")
+    rows, cols = np.divmod(order, m)
     arem = a.tolist()
     brem = b.tolist()
     row_open = [True] * n

@@ -356,7 +356,40 @@ def first_basis_instance(draw):
     return a, b * (a.sum() / b.sum()), C.reshape(n, m)
 
 
+def stable_matrix_minimum(a, b, C):
+    """Reference matrix-minimum start: every cell in stable-sorted order."""
+    n, m = C.shape
+    arem, brem = a.tolist(), b.tolist()
+    row_open, col_open = [True] * n, [True] * m
+    rows_left, cols_left = n, m
+    tree_flow = {}
+    for f in np.argsort(C, axis=None, kind="stable").tolist():
+        i, j = divmod(f, m)
+        if not (row_open[i] and col_open[j]):
+            continue
+        t = min(arem[i], brem[j])
+        tree_flow[f] = t
+        if rows_left == 1 and cols_left == 1:
+            break
+        arem[i] -= t
+        brem[j] -= t
+        if cols_left == 1 or (rows_left > 1 and arem[i] <= brem[j]):
+            row_open[i] = False
+            rows_left -= 1
+        else:
+            col_open[j] = False
+            cols_left -= 1
+    return tree_flow
+
+
 class TestFirstBasis:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(inst=first_basis_instance())
+    def test_matches_stable_sort_reference(self, inst):
+        a, b, C = inst
+        got = _matrix_minimum(a, b, C)
+        assert list(got.items()) == list(stable_matrix_minimum(a, b, C).items())
+
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(inst=first_basis_instance())
     def test_feasible_spanning_tree(self, inst):
