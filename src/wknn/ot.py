@@ -11,12 +11,22 @@ complementary-slackness gap below 1e-9.
 
 The simplex starts from the matrix-minimum basis: repeatedly, the cheapest
 cell whose row and column are both still open (ties to the lowest flat
-index) ships all it can, and one of its two lines closes. The basis is
-kept as a spanning tree over the rows and columns, rooted at row 0: a
-parent, a depth and a potential (dual) per node. A pivot finds its cycle
-by climbing parent pointers from both ends of the entering arc, and
-re-hangs from the entering arc only the subtree that the leaving arc cuts
-off, recomputing the potentials there alone.
+index) ships all it can, and one of its two lines closes. It has two
+exits:
+
+- Row minima. The duals u_i = min_j C_ij, v = 0 are feasible for every
+  cost matrix (dropping the target marginal leaves sum_i a_i min_j C_ij as
+  a lower bound on every coupling's cost). When the start's cost meets
+  that bound under the certificate's gap rule, the start is optimal and is
+  returned with these duals, before any pivot. This is the 1-NN case: the
+  start ships every row to its nearest column, and the bound is the
+  paper's (1/n) sum_i min_j |X_i - X'_j|^q.
+- Pivots. Otherwise the basis is kept as a spanning tree over the rows
+  and columns, rooted at row 0: a parent, a depth and a potential (dual)
+  per node. A pivot finds its cycle by climbing parent pointers from both
+  ends of the entering arc, and re-hangs from the entering arc only the
+  subtree that the leaving arc cuts off, recomputing the potentials there
+  alone. The duals returned are these tree potentials, with u_0 = 0.
 """
 from __future__ import annotations
 
@@ -202,9 +212,15 @@ def _flow_matrix(n, m, tree_flow):
 def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     """Solve min <flow, C> over the transportation polytope (a, b).
 
-    First basis: the matrix-minimum rule (``_matrix_minimum``), cheapest
-    open cell first with ties to the lowest flat index. Entering arc: most
-    negative reduced cost, ties to the lowest (i, j); after a
+    Returns (flow, u, v). First basis: the matrix-minimum rule
+    (``_matrix_minimum``), cheapest open cell first with ties to the lowest
+    flat index. If the row-minimum duals u = C.min(axis=1), v = 0 (always
+    feasible) close the first basis's gap under ``_certify``'s rule, the
+    first basis is returned with them and no pivot is made; these duals
+    are not tree potentials (u_0 is row 0's minimum, not 0).
+
+    Otherwise the simplex pivots from the same first basis. Entering arc:
+    most negative reduced cost, ties to the lowest (i, j); after a
     deterministic iteration budget, falls back to Bland's rule (first
     negative in lexicographic order) which cannot cycle. Leaving arc ties
     also resolve to the lowest (i, j). Fully deterministic.
@@ -223,6 +239,13 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     n, m = C.shape
     # Flow of each basic cell by flat index; every other cell carries 0.0.
     tree_flow = _matrix_minimum(a, b, C)
+    # Row minima and v = 0 are feasible duals: C - u >= 0 cell by cell.
+    start = _flow_matrix(n, m, tree_flow)
+    u = C.min(axis=1)
+    v = np.zeros(m)
+    if _optimality_gap(a, b, C, start, u, v)[2]:
+        return start, u, v
+
     cost = C.item  # cost(f): the cost of flat cell f as a Python float
     adj = [[] for _ in range(n + m)]
     for f in tree_flow:
@@ -319,12 +342,19 @@ def _certify(a, b, C, flow, u, v):
     slack = float(np.min(C - u[:, None] - v[None, :]))
     if not slack >= -_FEAS_TOL * max(1.0, float(C.max())):
         raise NumericalError(f"duals infeasible: reduced cost {slack:g} below tolerance")
-    cost = float(np.vdot(flow, C))
-    dual = float(np.dot(a, u) + np.dot(b, v))
-    gap = abs(cost - dual)
-    if not gap <= _FEAS_TOL * max(1.0, abs(cost)):
+    cost, gap, closed = _optimality_gap(a, b, C, flow, u, v)
+    if not closed:
         raise NumericalError(f"optimality gap {gap:g} exceeds tolerance")
     return cost
+
+
+def _optimality_gap(a, b, C, flow, u, v):
+    """(cost, gap, closed): the cost of ``flow``, its distance to the dual
+    objective of (u, v), and whether that gap is within
+    _FEAS_TOL * max(1, |cost|). A NaN never closes it."""
+    cost = float(np.vdot(flow, C))
+    gap = abs(cost - float(np.dot(a, u) + np.dot(b, v)))
+    return cost, gap, gap <= _FEAS_TOL * max(1.0, abs(cost))
 
 
 def exact_wq(

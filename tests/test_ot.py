@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import wknn.ot
 from wknn.core import (
     InvalidInputError,
     Norm,
@@ -300,8 +301,9 @@ def degenerate_pair(draw):
     return src, tgt, float(draw(st.integers(1, 3))), draw(st.sampled_from(list(Norm)))
 
 
-def highs_cost(src, tgt, q, norm):
-    """Oracle: the same LP over the positive-mass points, solved by HiGHS."""
+def highs_cost(src, tgt, q, norm, **options):
+    """Oracle: the same LP over the positive-mass points, solved by HiGHS
+    (``options`` go to linprog, e.g. HiGHS's feasibility tolerances)."""
     ka = np.flatnonzero(src.masses > 0)
     kb = np.flatnonzero(tgt.masses > 0)
     C = pairwise_distances(
@@ -310,9 +312,14 @@ def highs_cost(src, tgt, q, norm):
     n, m = C.shape
     A = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
     b = np.concatenate([src.masses[ka], tgt.masses[kb]])
-    res = linprog(C.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    res = linprog(
+        C.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs", options=options
+    )
     assert res.status == 0
     return res.fun
+
+
+TIGHT_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 class TestDegenerateInputs:
@@ -429,3 +436,97 @@ class TestFirstBasis:
         flow, u, v = _transport_simplex(a, b, C)
         np.testing.assert_array_equal(flow, optimum)
         assert _certify(a, b, C, flow, u, v) == 0.0
+
+
+def solve_recording(src, tgt, q, norm=Norm.L2):
+    """exact_wq's cost, with the number of _hang calls (the first hang of
+    the tree plus one per pivot) and the (C, flow, u, v) of its simplex."""
+    seen = {"hangs": 0}
+
+    def hang(*args):
+        seen["hangs"] += 1
+        return _hang(*args)
+
+    def simplex(a, b, C):
+        seen["solve"] = (C, *_transport_simplex(a, b, C))
+        return seen["solve"][1:]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wknn.ot, "_hang", hang)
+        mp.setattr(wknn.ot, "_transport_simplex", simplex)
+        cost, _ = exact_wq(src, tgt, q, norm)
+    return cost, seen
+
+
+def knn_measures(ev, tr, k, norm=Norm.L2):
+    wv = knn_weights(neighbor_table(ev, tr, k, norm), tr.size)
+    return uniform_empirical(ev), weighted_measure(tr, wv)
+
+
+@st.composite
+def knn_lp_instance(draw, k_max):
+    """(ev, tr, k, q, norm): coordinates on a small integer grid or in [0, 3],
+    so duplicated points and tied distances are common; 1 <= k <= min(k_max, m)."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    coord = st.one_of(st.integers(0, 3), st.floats(0.0, 3.0))
+
+    def points(size):
+        values = draw(st.lists(coord, min_size=size * d, max_size=size * d))
+        return Sample(np.asarray(values, dtype=np.float64).reshape(size, d))
+
+    ev, tr = points(n), points(m)
+    k = draw(st.integers(1, min(k_max, m)))
+    return ev, tr, k, float(draw(st.integers(1, 3))), draw(st.sampled_from(list(Norm)))
+
+
+class TestRowMinimumExit:
+    """At k=1 the first basis ships every row to its nearest column, and the
+    row-minimum duals (u = row minima, v = 0) certify it with no pivot."""
+
+    def check_no_pivot(self, ev, tr, q, norm):
+        cost, seen = solve_recording(*knn_measures(ev, tr, 1, norm), q, norm)
+        C, _, u, v = seen["solve"]
+        assert seen["hangs"] == 0
+        np.testing.assert_array_equal(u, C.min(axis=1))
+        np.testing.assert_array_equal(v, np.zeros(C.shape[1]))
+        assert cost == pytest.approx(wq_1nn(ev, tr, q, norm), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("norm", list(Norm))
+    def test_duplicates_and_ties_take_no_pivot(self, norm):
+        # Training points 0 and 2 are each duplicated; evaluation points 1
+        # and 3 sit halfway between two training points.
+        ev = Sample(np.array([[1.0], [1.0], [3.0], [0.0], [4.0], [2.5]]))
+        tr = Sample(np.array([[0.0], [0.0], [2.0], [2.0], [4.0]]))
+        for q in (1.0, 2.0, 3.0):
+            self.check_no_pivot(ev, tr, q, norm)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(inst=knn_lp_instance(k_max=1))
+    def test_1nn_instances_take_no_pivot(self, inst):
+        ev, tr, _, q, norm = inst
+        self.check_no_pivot(ev, tr, q, norm)
+
+    def test_k2_start_that_is_not_optimal_still_pivots(self):
+        gen = stream(42, 0)
+        ev = Sample(uniform_open(gen, (8, 2)))
+        tr = Sample(uniform_open(gen, (6, 2)))
+        src, tgt = knn_measures(ev, tr, 2)
+        cost, seen = solve_recording(src, tgt, 2.0)
+        C, _, u, _ = seen["solve"]
+        # The first hang builds the tree; every later one is a pivot.
+        assert seen["hangs"] > 1
+        assert u[0] == 0.0 and not np.array_equal(u, C.min(axis=1))
+        assert abs(cost - highs_cost(src, tgt, 2.0, Norm.L2)) <= 1e-9 * max(1.0, cost)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(inst=knn_lp_instance(k_max=3))
+    def test_cost_matches_highs(self, inst):
+        ev, tr, k, q, norm = inst
+        src, tgt = knn_measures(ev, tr, k, norm)
+        cost, _ = exact_wq(src, tgt, q, norm)
+        # HiGHS's default feasibility tolerances (1e-7) are looser than the
+        # 1e-9 compared here, and distances as small as 6e-8 occur.
+        oracle = highs_cost(src, tgt, q, norm, **TIGHT_HIGHS)
+        assert abs(cost - oracle) <= 1e-9 * max(1.0, abs(cost))

@@ -9,7 +9,11 @@ The exact-LP digest covers the simplex's flow and duals and exact_wq's
 cost and plan. A degenerate optimum may end at another vertex or other
 duals when the pivot path changes, so each LP instance's optimal cost is
 also pinned on its own: those costs were recorded while the simplex still
-started from the northwest corner, and hold for any correct start.
+started from the northwest corner, and hold for any correct start. The
+digest was last re-pinned when the simplex began returning its first
+basis with the row-minimum duals (u = row minima, v = 0) whenever they
+certify it; the instances that exit that way now carry those duals
+instead of tree potentials.
 """
 import hashlib
 
@@ -172,5 +176,5 @@ def test_exact_lp_bytes():
         cost, plan = exact_wq(src, tgt, q)
         h.update(repr((cost, plan.entries)).encode())
     assert h.hexdigest() == (
-        "24a161354854eaa697d2921527706fda823d72c6ddc7a6c5e2fb595dd8eeda00"
+        "bec3798147e2f958732aab6d75491974f90ea039a6954cda6499aafe9ad109d3"
     )
