@@ -319,9 +319,6 @@ def highs_cost(src, tgt, q, norm, **options):
     return res.fun
 
 
-TIGHT_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-
-
 class TestDegenerateInputs:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(pair=degenerate_pair())
@@ -528,5 +525,8 @@ class TestRowMinimumExit:
         cost, _ = exact_wq(src, tgt, q, norm)
         # HiGHS's default feasibility tolerances (1e-7) are looser than the
         # 1e-9 compared here, and distances as small as 6e-8 occur.
-        oracle = highs_cost(src, tgt, q, norm, **TIGHT_HIGHS)
+        oracle = highs_cost(
+            src, tgt, q, norm,
+            primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10,
+        )
         assert abs(cost - oracle) <= 1e-9 * max(1.0, abs(cost))
