@@ -16,17 +16,22 @@ exits:
 
 - Row minima. The duals u_i = min_j C_ij, v = 0 are feasible for every
   cost matrix (dropping the target marginal leaves sum_i a_i min_j C_ij as
-  a lower bound on every coupling's cost). When the start's cost meets
-  that bound under the certificate's gap rule, the start is optimal and is
-  returned with these duals, before any pivot. This is the 1-NN case: the
-  start ships every row to its nearest column, and the bound is the
-  paper's (1/n) sum_i min_j |X_i - X'_j|^q.
+  a lower bound on every coupling's cost). When the start's cost is
+  within 1e-9 of that bound relative to the cost itself, give or take
+  the rounding of its masses, the start is returned with these duals,
+  before any pivot. This is the 1-NN case: the start ships every row to
+  its nearest column, and the bound is the paper's
+  (1/n) sum_i min_j |X_i - X'_j|^q.
 - Pivots. Otherwise the basis is kept as a spanning tree over the rows
   and columns, rooted at row 0: a parent, a depth and a potential (dual)
   per node. A pivot finds its cycle by climbing parent pointers from both
   ends of the entering arc, and re-hangs from the entering arc only the
   subtree that the leaving arc cuts off, recomputing the potentials there
   alone. The duals returned are these tree potentials, with u_0 = 0.
+
+Both exits judge costs relative to the cost matrix, never against an
+absolute floor, so multiplying every cost by a constant multiplies the
+answer by it, however small the costs.
 """
 from __future__ import annotations
 
@@ -58,6 +63,7 @@ __all__ = [
 
 # Mass/feasibility tolerance for the exact solver, matching its contract.
 _FEAS_TOL = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,15 +221,19 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     Returns (flow, u, v). First basis: the matrix-minimum rule
     (``_matrix_minimum``), cheapest open cell first with ties to the lowest
     flat index. If the row-minimum duals u = C.min(axis=1), v = 0 (always
-    feasible) close the first basis's gap under ``_certify``'s rule, the
-    first basis is returned with them and no pivot is made; these duals
-    are not tree potentials (u_0 is row 0's minimum, not 0).
+    feasible) come within 1e-9 * |cost| of the first basis's cost, plus
+    an allowance for its mass rounding, the first basis is returned with
+    them and no pivot is made; these duals are not tree potentials (u_0
+    is row 0's minimum, not 0). Unlike ``_certify``'s gap rule this one
+    has no floor of 1, which would let any start through once all costs
+    are small.
 
     Otherwise the simplex pivots from the same first basis. Entering arc:
-    most negative reduced cost, ties to the lowest (i, j); after a
-    deterministic iteration budget, falls back to Bland's rule (first
-    negative in lexicographic order) which cannot cycle. Leaving arc ties
-    also resolve to the lowest (i, j). Fully deterministic.
+    most negative reduced cost below -1e-10 * max(C), ties to the lowest
+    (i, j); after a deterministic iteration budget, falls back to Bland's
+    rule (first negative in lexicographic order) which cannot cycle.
+    Leaving arc ties also resolve to the lowest (i, j). Fully
+    deterministic.
 
     The basis is a spanning tree over rows 0..n-1 and columns n..n+m-1,
     rooted at row 0, kept as a parent, a depth, a parent-edge cell and a
@@ -240,11 +250,20 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     # Flow of each basic cell by flat index; every other cell carries 0.0.
     tree_flow = _matrix_minimum(a, b, C)
     # Row minima and v = 0 are feasible duals: C - u >= 0 cell by cell.
-    start = _flow_matrix(n, m, tree_flow)
+    # The start's cost is read off its n+m-1 basic cells. Its gap may hold
+    # 1e-9 of that cost, plus the rounding of the unit total mass (about an
+    # ulp per line the start closes) shipped at the largest cost: both
+    # scale with C, unlike _certify's floor of 1, which would let any start
+    # through once all costs are small.
     u = C.min(axis=1)
     v = np.zeros(m)
-    if _optimality_gap(a, b, C, start, u, v)[2]:
-        return start, u, v
+    cells = np.fromiter(tree_flow, np.intp, len(tree_flow))
+    ships = np.fromiter(tree_flow.values(), np.float64, len(tree_flow))
+    start_cost = float(np.dot(ships, C.take(cells)))
+    c_max = float(C.max())
+    slack = _FEAS_TOL * abs(start_cost) + (n + m) * _EPS * c_max
+    if _duality_gap(start_cost, a, b, u, v) <= slack:
+        return _flow_matrix(n, m, tree_flow), u, v
 
     cost = C.item  # cost(f): the cost of flat cell f as a Python float
     adj = [[] for _ in range(n + m)]
@@ -260,8 +279,8 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     if _hang(0, -1, adj, parent, depth, pot, edge, cost, n, m) != n + m:
         raise NumericalError("transport basis lost its spanning-tree structure")
 
-    cost_scale = max(1.0, float(C.max()) if C.size else 1.0)
-    eps = 1e-10 * cost_scale
+    # Relative to the largest cost, so that scaling C scales every test.
+    eps = 1e-10 * c_max
     bland_after = 200 + 50 * (n + m)
     max_iter = 5000 + 400 * (n + m) + 2 * n * m
     reduced = np.empty_like(C)
@@ -342,19 +361,20 @@ def _certify(a, b, C, flow, u, v):
     slack = float(np.min(C - u[:, None] - v[None, :]))
     if not slack >= -_FEAS_TOL * max(1.0, float(C.max())):
         raise NumericalError(f"duals infeasible: reduced cost {slack:g} below tolerance")
-    cost, gap, closed = _optimality_gap(a, b, C, flow, u, v)
-    if not closed:
+    cost = float(np.vdot(flow, C))
+    gap = _duality_gap(cost, a, b, u, v)
+    if not gap <= _FEAS_TOL * max(1.0, abs(cost)):
         raise NumericalError(f"optimality gap {gap:g} exceeds tolerance")
     return cost
 
 
-def _optimality_gap(a, b, C, flow, u, v):
-    """(cost, gap, closed): the cost of ``flow``, its distance to the dual
-    objective of (u, v), and whether that gap is within
-    _FEAS_TOL * max(1, |cost|). A NaN never closes it."""
-    cost = float(np.vdot(flow, C))
-    gap = abs(cost - float(np.dot(a, u) + np.dot(b, v)))
-    return cost, gap, gap <= _FEAS_TOL * max(1.0, abs(cost))
+def _duality_gap(cost, a, b, u, v):
+    """Distance from a plan's ``cost`` to the dual objective of (u, v).
+
+    With feasible duals it bounds how far the plan is above the optimum.
+    A NaN anywhere gives NaN, which fails every ``<=`` test.
+    """
+    return abs(cost - float(np.dot(a, u) + np.dot(b, v)))
 
 
 def exact_wq(

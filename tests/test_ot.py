@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -216,10 +216,10 @@ class TestExactWq:
                 costs.append(cost)
             assert all(c >= costs[0] - 1e-12 for c in costs[1:])
 
-    def test_scale_equivariance(self):
+    @pytest.mark.parametrize("lam", [3.7, 1e-6])
+    def test_scale_equivariance(self, lam):
         gen = stream(39, 0)
         ev, tr = random_instance(gen)
-        lam = 3.7
         for q in (1.0, 2.0):
             base, _ = exact_wq(uniform_empirical(ev), uniform_empirical(tr), q)
             scaled, _ = exact_wq(
@@ -501,9 +501,29 @@ class TestRowMinimumExit:
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(inst=knn_lp_instance(k_max=1))
+    # Every 1-NN distance is 0, so the optimum is only the rounding of the
+    # masses: 1/6 is left over from 5/6 and shipped at cost 1.
+    @example(inst=(Sample([0.0] * 5 + [1.0]), Sample([0.0, 1.0]), 1, 1.0, Norm.L1))
     def test_1nn_instances_take_no_pivot(self, inst):
         ev, tr, _, q, norm = inst
         self.check_no_pivot(ev, tr, q, norm)
+
+    @pytest.mark.parametrize(
+        "q, scales",
+        [(1.0, (1e-14, 1e-10, 1.0, 1e6)), (2.0, (1e-8, 1e-5, 1.0)), (3.0, (1e-5, 1e-3, 1.0))],
+    )
+    def test_start_that_is_not_optimal_pivots_at_every_scale(self, q, scales):
+        # Source {0, 3c}, target {c, -2c}: the start pairs 0 with c and 3c
+        # with -2c at cost (1 + 5^q) c^q / 2, against the bound
+        # (1 + 2^q) c^q / 2 and the crosswise optimum (2c)^q.
+        for c in scales:
+            src = np.array([0.0, 3.0 * c])
+            tgt = np.array([c, -2.0 * c])
+            cost, seen = solve_recording(
+                uniform_empirical(Sample(src)), uniform_empirical(Sample(tgt)), q
+            )
+            assert seen["hangs"] > 1
+            assert cost == pytest.approx(wq_1d_uniform_oracle(src, tgt, q), rel=1e-12)
 
     def test_k2_start_that_is_not_optimal_still_pivots(self):
         gen = stream(42, 0)
@@ -518,15 +538,25 @@ class TestRowMinimumExit:
         assert abs(cost - highs_cost(src, tgt, 2.0, Norm.L2)) <= 1e-9 * max(1.0, cost)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(inst=knn_lp_instance(k_max=3))
-    def test_cost_matches_highs(self, inst):
+    @given(inst=knn_lp_instance(k_max=3), scale=st.sampled_from([2.0**-40, 1.0, 2.0**20]))
+    def test_cost_matches_highs(self, inst, scale):
         ev, tr, k, q, norm = inst
-        src, tgt = knn_measures(ev, tr, k, norm)
-        cost, _ = exact_wq(src, tgt, q, norm)
+        wv = knn_weights(neighbor_table(ev, tr, k, norm), tr.size)
+
+        def measures(lam):
+            return (
+                uniform_empirical(Sample(lam * ev.points)),
+                weighted_measure(Sample(lam * tr.points), wv),
+            )
+
+        # exact_wq solves the instance scaled by a power of two, which
+        # scales every cost by scale**q; HiGHS solves it at unit scale,
+        # where its absolute tolerances mean something.
+        cost = exact_wq(*measures(scale), q, norm)[0] / scale**q
         # HiGHS's default feasibility tolerances (1e-7) are looser than the
         # 1e-9 compared here, and distances as small as 6e-8 occur.
         oracle = highs_cost(
-            src, tgt, q, norm,
+            *measures(1.0), q, norm,
             primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10,
         )
         assert abs(cost - oracle) <= 1e-9 * max(1.0, abs(cost))
