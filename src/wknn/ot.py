@@ -251,17 +251,17 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     tree_flow = _matrix_minimum(a, b, C)
     # Row minima and v = 0 are feasible duals: C - u >= 0 cell by cell.
     # The start's cost is read off its n+m-1 basic cells. Its gap may hold
-    # 1e-9 of that cost, plus the rounding of the unit total mass (about an
-    # ulp per line the start closes) shipped at the largest cost: both
-    # scale with C, unlike _certify's floor of 1, which would let any start
-    # through once all costs are small.
+    # 1e-9 of that cost, plus the start's rounding of the unit total mass
+    # (about an ulp per line it closes) shipped at its dearest basic cell:
+    # both scale with C, unlike _certify's floor of 1, which would let any
+    # start through once all costs are small.
     u = C.min(axis=1)
     v = np.zeros(m)
     cells = np.fromiter(tree_flow, np.intp, len(tree_flow))
     ships = np.fromiter(tree_flow.values(), np.float64, len(tree_flow))
-    start_cost = float(np.dot(ships, C.take(cells)))
-    c_max = float(C.max())
-    slack = _FEAS_TOL * abs(start_cost) + (n + m) * _EPS * c_max
+    basic_costs = C.take(cells)
+    start_cost = float(np.dot(ships, basic_costs))
+    slack = _FEAS_TOL * abs(start_cost) + (n + m) * _EPS * float(basic_costs.max())
     if _duality_gap(start_cost, a, b, u, v) <= slack:
         return _flow_matrix(n, m, tree_flow), u, v
 
@@ -280,7 +280,7 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         raise NumericalError("transport basis lost its spanning-tree structure")
 
     # Relative to the largest cost, so that scaling C scales every test.
-    eps = 1e-10 * c_max
+    eps = 1e-10 * float(C.max())
     bland_after = 200 + 50 * (n + m)
     max_iter = 5000 + 400 * (n + m) + 2 * n * m
     reduced = np.empty_like(C)

@@ -227,9 +227,10 @@ class TestExactWq:
                 uniform_empirical(Sample(lam * tr.points)),
                 q,
             )
-            assert scaled == pytest.approx(lam**q * base, rel=1e-9)
+            # abs=0: approx's default absolute 1e-12 would pass any small cost.
+            assert scaled == pytest.approx(lam**q * base, rel=1e-9, abs=0)
             assert wq_1nn(Sample(lam * ev.points), Sample(lam * tr.points), q) == pytest.approx(
-                lam**q * wq_1nn(ev, tr, q), rel=1e-12
+                lam**q * wq_1nn(ev, tr, q), rel=1e-12, abs=0
             )
 
     @pytest.mark.parametrize("norm", list(Norm))
@@ -523,7 +524,7 @@ class TestRowMinimumExit:
                 uniform_empirical(Sample(src)), uniform_empirical(Sample(tgt)), q
             )
             assert seen["hangs"] > 1
-            assert cost == pytest.approx(wq_1d_uniform_oracle(src, tgt, q), rel=1e-12)
+            assert cost == pytest.approx(wq_1d_uniform_oracle(src, tgt, q), rel=1e-12, abs=0)
 
     def test_k2_start_that_is_not_optimal_still_pivots(self):
         gen = stream(42, 0)
