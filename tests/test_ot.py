@@ -502,8 +502,8 @@ class TestRowMinimumExit:
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(inst=knn_lp_instance(k_max=1))
-    # Every 1-NN distance is 0, so the optimum is only the rounding of the
-    # masses: 1/6 is left over from 5/6 and shipped at cost 1.
+    # Every 1-NN distance is 0, so the start's whole cost is the ulp-sized
+    # mass that rounding leaves over from 5/6 and ships at cost 1.
     @example(inst=(Sample([0.0] * 5 + [1.0]), Sample([0.0, 1.0]), 1, 1.0, Norm.L1))
     def test_1nn_instances_take_no_pivot(self, inst):
         ev, tr, _, q, norm = inst
