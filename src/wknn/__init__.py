@@ -27,7 +27,6 @@ from .core import (
 from .estimators import (
     Model,
     Observable,
-    generalization_error_mc,
     knn_regress,
     qi_hat,
     qi_knn,
@@ -43,14 +42,15 @@ from .experiments import (
     builtin_scenario,
     const_k,
     fit_loglog,
+    generalization_error_mc,
     noisy_rate_experiment,
     power_k,
     qi_experiment,
     scenario_names,
     wasserstein_rate_experiment,
 )
-from .knn import KnnIndex, NeighborTable, build_index, knn_query, neighbor_table
-from .ot import TransportPlan, exact_wq, wq_1d_uniform_oracle, wq_1nn, wq_knn_bound
+from .knn import KnnIndex, NeighborTable, knn_query, neighbor_table
+from .ot import TransportPlan, exact_wq, wq_1nn, wq_knn_bound
 from .rng import standard_normal, stream, uniform_open
 from .theory import (
     RateConstant,

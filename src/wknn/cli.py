@@ -29,12 +29,12 @@ from .core import (
     read_sample_csv,
     uniform_empirical,
 )
-from .estimators import generalization_error_mc
 from .experiments import (
     KRule,
     atom_consistency_experiment,
     builtin_scenario,
     const_k,
+    generalization_error_mc,
     power_k,
     qi_experiment,
     scenario_names,
@@ -343,7 +343,7 @@ def _cmd_regress_exp(args) -> int:
         scenario.model,
         scenario.x_sampler,
         scenario.xp_sampler,
-        lambda x: scenario.psi(x),
+        scenario.psi,
         args.m,
         args.k,
         args.n_test,

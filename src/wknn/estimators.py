@@ -1,4 +1,8 @@
-"""Quantity-of-interest estimators and the k-NN regressor under covariate shift."""
+"""Quantity-of-interest estimators and the k-NN regressor under covariate shift.
+
+All read their neighbors from ``neighbor_table``; the regressor's Monte
+Carlo error, ``generalization_error_mc``, runs in ``experiments``.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,9 +10,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DEFAULT_NORM, InvalidInputError, LabeledSample, Norm, Sample
-from .knn import _check_k, knn_query, neighbor_table
-from .rng import _mean_stderr, stream
+from .core import DEFAULT_NORM, InvalidInputError, LabeledSample, Norm, Sample, _trusted, as_point
+from .knn import neighbor_table
 from .weights import WeightVector
 
 __all__ = [
@@ -18,7 +21,6 @@ __all__ = [
     "qi_tilde",
     "knn_regress",
     "qi_knn",
-    "generalization_error_mc",
 ]
 
 
@@ -91,8 +93,9 @@ def qi_tilde(wv: WeightVector, psi_values) -> float:
 
 def knn_regress(x, train: LabeledSample, k: int, norm: Norm = DEFAULT_NORM) -> np.ndarray:
     """k-NN regression at a point: average output of the k nearest inputs."""
-    idx, _ = knn_query(x, train.inputs, k, norm)
-    return train.outputs[idx].mean(axis=0)
+    # as_point has checked the point; a (1, d) view of it is the evaluation sample.
+    table = neighbor_table(_trusted(Sample, points=as_point(x)[None, :]), train.inputs, k, norm)
+    return train.outputs[table.indices[0]].mean(axis=0)
 
 
 def qi_knn(
@@ -110,39 +113,3 @@ def qi_knn(
     table = neighbor_table(eval_sample, train.inputs, k, norm)
     vals = phi(train.outputs)
     return float(np.mean(vals[table.indices]))
-
-
-def generalization_error_mc(
-    model: Model,
-    x_sampler: Callable[[np.random.Generator, int], np.ndarray],
-    xp_sampler: Callable[[np.random.Generator, int], np.ndarray],
-    r_true: Callable[[np.ndarray], np.ndarray],
-    m: int,
-    k: int,
-    n_test: int,
-    norm: Norm = DEFAULT_NORM,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte Carlo L2 generalization error of k-NN regression under covariate shift.
-
-    Each of the n_test replications draws a fresh training sample of size
-    m and one fresh evaluation point, then scores the squared deviation of
-    the k-NN prediction from the analytic regression function ``r_true``.
-    Returns (mean squared error, standard error of the mean).
-    """
-    if m <= 0 or n_test <= 0:
-        raise InvalidInputError("m and n_test must be positive")
-    k = _check_k(k, m)
-
-    sq_errors = np.empty(n_test)
-    for rep in range(n_test):
-        gen = stream(seed, rep)
-        x = np.asarray(x_sampler(gen, 1), dtype=np.float64)
-        xp = np.asarray(xp_sampler(gen, m), dtype=np.float64)
-        outputs = model.sample_outputs(gen, xp)
-        train = LabeledSample(Sample(xp), outputs)
-        pred = knn_regress(x.reshape(-1)[: train.inputs.dim], train, k, norm)
-        truth = np.asarray(r_true(x.reshape(1, -1)), dtype=np.float64).reshape(-1)
-        diff = truth - pred
-        sq_errors[rep] = float(np.dot(diff, diff))
-    return _mean_stderr(sq_errors)

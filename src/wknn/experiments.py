@@ -18,14 +18,15 @@ import numpy as np
 from .core import (
     DEFAULT_NORM,
     InvalidInputError,
+    LabeledSample,
     Norm,
     NumericalError,
     Sample,
     _write_table,
     uniform_empirical,
 )
-from .estimators import Model, Observable, qi_hat
-from .knn import neighbor_table
+from .estimators import Model, Observable, knn_regress, qi_hat
+from .knn import _check_k, neighbor_table
 from .ot import exact_wq, knn_transport_cost
 from .rng import _mean_stderr, indexed_map, standard_normal, stream, uniform_open
 from .weights import knn_weights, weighted_measure
@@ -45,6 +46,7 @@ __all__ = [
     "qi_experiment",
     "atom_consistency_experiment",
     "noisy_rate_experiment",
+    "generalization_error_mc",
     "RateExperimentResult",
     "QiExperimentResult",
     "AtomExperimentResult",
@@ -608,6 +610,43 @@ def noisy_rate_experiment(
     records, (summary,) = _run_grid(m_grid, cell, n, replications, base_seed, threads)
     fit = fit_loglog([(row.key, math.sqrt(row.mean)) for row in summary])
     return QiExperimentResult(records, summary), fit
+
+
+def generalization_error_mc(
+    model: Model,
+    x_sampler: Callable[[np.random.Generator, int], np.ndarray],
+    xp_sampler: Callable[[np.random.Generator, int], np.ndarray],
+    r_true: Callable[[np.ndarray], np.ndarray],
+    m: int,
+    k: int,
+    n_test: int,
+    norm: Norm = DEFAULT_NORM,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """Monte Carlo L2 generalization error of k-NN regression under covariate shift.
+
+    Each of the n_test replications draws a fresh training sample of size
+    m and one fresh evaluation point, then scores the squared deviation of
+    the k-NN prediction from the analytic regression function ``r_true``.
+    Returns (mean squared error, standard error of the mean): the summary
+    of a one-point grid.
+    """
+    if m <= 0 or n_test <= 0:
+        raise InvalidInputError("m and n_test must be positive")
+    k = _check_k(k, m)
+
+    def worker(rep):
+        gen = stream(seed, rep)
+        x = np.asarray(x_sampler(gen, 1), dtype=np.float64)
+        xp = np.asarray(xp_sampler(gen, m), dtype=np.float64)
+        train = LabeledSample(Sample(xp), model.sample_outputs(gen, xp))
+        pred = knn_regress(x.reshape(-1), train, k, norm)
+        diff = np.asarray(r_true(x.reshape(1, -1)), dtype=np.float64).reshape(-1) - pred
+        return (float(np.dot(diff, diff)),)
+
+    labels = [("generalization_error", m, 1, k, 2.0, None)]
+    _, ((row,),) = _run_grid([m], lambda _: (labels, worker), 1, n_test, seed, 1)
+    return row.mean, row.stderr
 
 
 # --- CSV emitters ----------------------------------------------------------------

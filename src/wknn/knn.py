@@ -6,13 +6,14 @@ index. The accelerated index is contractually exact: its output is
 bit-identical to the brute-force path (no approximate mode), which the
 test suite enforces on random instances including duplicated points.
 
-``neighbor_table`` queries a kd-tree once the training sample has at
-least 32 points and 2k < m; smaller samples and larger k take the dense
-brute force, which the tests also keep as the oracle. On the kd-tree path
-``neighbor_table`` is the one place that deduplicates evaluation rows: it
-queries each distinct row once, and the ``NeighborTable`` it returns keeps
-those answers plus a map from the n rows into them, so repeated rows cost
-one answer each until a caller reads the full (n, k) arrays.
+``neighbor_table`` is the package's one k-NN path. It queries a kd-tree
+given at least 2 evaluation rows, at least 32 training points and 2k < m,
+and runs the dense brute force otherwise; the tests keep that, and
+``knn_query`` (the brute force for one point), as oracles. On the kd-tree
+path it is the one place that deduplicates evaluation rows: it queries
+each distinct row once, and the ``NeighborTable`` it returns keeps those
+answers plus a map from the n rows into them, so repeated rows cost one
+answer each until a caller reads the full (n, k) arrays.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from scipy.spatial import cKDTree
 from .core import DEFAULT_NORM, InvalidInputError, Norm, NumericalError, Sample, as_point
 from .core import _freeze, _reduce_norm, _trusted
 
-__all__ = ["NeighborTable", "knn_query", "neighbor_table", "KnnIndex", "build_index"]
+__all__ = ["NeighborTable", "knn_query", "neighbor_table", "KnnIndex"]
 
 # Relative width of the window around the k-th distance inside which the
 # accelerated index re-checks candidates for ties; far wider than any
@@ -40,6 +41,11 @@ _TIE_RTOL = 1e-9
 # not, so at fixed m it loses once k passes about m/3 (m=64) to m/2
 # (m >= 512).
 _INDEX_THRESHOLD = 32
+
+# ... and at least this many evaluation rows, repeats included: at m=1000,
+# d=2, k=1 one row took about 240 us through a kd-tree and 80 us by brute
+# force. Two keeps every caller with more than one row on the kd-tree.
+_INDEX_MIN_ROWS = 2
 
 # Cap on the number of floats materialized per brute-force block.
 _BLOCK_BUDGET = 4_000_000
@@ -143,13 +149,6 @@ def _check_finite_kth(kth: np.ndarray) -> None:
         raise NumericalError("k-NN distances overflow float64")
 
 
-def _rank_block(dist_block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # Stable sort on distance: equal distances keep index order, which is
-    # exactly the (distance, index) tie rule.
-    order = np.argsort(dist_block, axis=1, kind="stable")[:, :k]
-    return order.astype(np.int64), np.take_along_axis(dist_block, order, axis=1)
-
-
 def _brute_table(eval_pts: np.ndarray, train_pts: np.ndarray, k: int, norm: Norm):
     n, d = eval_pts.shape
     m = train_pts.shape[0]
@@ -159,7 +158,15 @@ def _brute_table(eval_pts: np.ndarray, train_pts: np.ndarray, k: int, norm: Norm
     for start in range(0, n, rows_per_block):
         stop = min(n, start + rows_per_block)
         block = _reduce_norm(eval_pts[start:stop, None, :] - train_pts[None, :, :], norm)
-        idx_out[start:stop], dist_out[start:stop] = _rank_block(block, k)
+        # A stable sort keeps equal distances in index order, which is the
+        # (distance, index) tie rule. At k=1 argmin's first minimum is the
+        # same index without the sort (a distance is never NaN).
+        if k == 1:
+            order = block.argmin(axis=1)[:, None]
+        else:
+            order = np.argsort(block, axis=1, kind="stable")[:, :k]
+        idx_out[start:stop] = order
+        dist_out[start:stop] = np.take_along_axis(block, order, axis=1)
     return idx_out, dist_out
 
 
@@ -170,8 +177,6 @@ def _distinct_rows(pts: np.ndarray):
     reduction maps both to the same distances, so one query serves both.
     """
     n = pts.shape[0]
-    if n < 2:
-        return None
     order = np.lexsort(pts.T)
     ranked = pts[order]
     first = np.empty(n, dtype=bool)
@@ -217,18 +222,6 @@ class KnnIndex:
         # queries as fast; the re-ranking below makes the output independent
         # of the tree's shape.
         self._tree = cKDTree(self._train, balanced_tree=False, compact_nodes=False)
-
-    @property
-    def size(self) -> int:
-        return self._train.shape[0]
-
-    @property
-    def norm(self) -> Norm:
-        return self._norm
-
-    def query(self, point, k: int):
-        idx, dist = self.query_batch(np.asarray(point, dtype=np.float64).reshape(1, -1), k)
-        return idx[0], dist[0]
 
     def query_batch(self, points, k: int):
         """(indices, distances) of the k nearest training points, one row per query row.
@@ -287,11 +280,6 @@ class KnnIndex:
         return cand[order], dist[order]
 
 
-def build_index(train: Sample, norm: Norm = DEFAULT_NORM) -> KnnIndex:
-    """Build the accelerated index; queries match brute force bit for bit."""
-    return KnnIndex(train, norm)
-
-
 def neighbor_table(
     eval_sample: Sample,
     train: Sample,
@@ -300,12 +288,12 @@ def neighbor_table(
 ) -> NeighborTable:
     """Neighbor table over all evaluation points; row i equals knn_query(eval[i]).
 
-    Builds a kd-tree index when the training sample has at least 32 points
-    and 2k < m, and runs the dense brute force otherwise; both paths produce
-    identical tables. The index path queries each distinct evaluation row
-    once, and the table keeps one answer per distinct row (see
-    ``NeighborTable``). Raises NumericalError when a neighbor distance
-    overflows float64.
+    Builds a kd-tree index given at least 2 evaluation rows, at least 32
+    training points and 2k < m, and runs the dense brute force otherwise;
+    both paths produce identical tables. The index path queries each
+    distinct evaluation row once, and the table keeps one answer per
+    distinct row (see ``NeighborTable``). Raises NumericalError when a
+    neighbor distance overflows float64.
     """
     if not isinstance(eval_sample, Sample):
         eval_sample = Sample(eval_sample)
@@ -314,7 +302,8 @@ def neighbor_table(
     _check_dims(eval_sample.dim, train.dim)
     k = _check_k(k, train.size)
     row_of = None
-    if train.size >= _INDEX_THRESHOLD and 2 * k < train.size:
+    if (eval_sample.size >= _INDEX_MIN_ROWS and train.size >= _INDEX_THRESHOLD
+            and 2 * k < train.size):
         # A row's neighbors depend only on its own coordinates.
         rows = eval_sample.points
         distinct = _distinct_rows(rows)

@@ -6,8 +6,8 @@ the distance itself; callers wanting W_q take the q-th root.
 
 ``exact_wq`` is an exact transportation-LP solver (a network-simplex
 specialization), not an entropic approximation: it returns a vertex plan
-and certifies optimality through a feasible dual with a relative
-complementary-slackness gap below 1e-9.
+and certifies optimality through a feasible dual whose objective is
+within 1e-9 of the plan's cost, relative to it, give or take rounding.
 
 The simplex starts from the matrix-minimum basis: repeatedly, the cheapest
 cell whose row and column are both still open (ties to the lowest flat
@@ -16,10 +16,9 @@ exits:
 
 - Row minima. The duals u_i = min_j C_ij, v = 0 are feasible for every
   cost matrix (dropping the target marginal leaves sum_i a_i min_j C_ij as
-  a lower bound on every coupling's cost). When the start's cost is
-  within 1e-9 of that bound relative to the cost itself, give or take
-  the rounding of its masses, the start is returned with these duals,
-  before any pivot. This is the 1-NN case: the start ships every row to
+  a lower bound on every coupling's cost). When they certify the start
+  under the certificate's rule, the start is returned with them, before
+  any pivot. This is the 1-NN case: the start ships every row to
   its nearest column, and the bound is the paper's
   (1/n) sum_i min_j |X_i - X'_j|^q.
 - Pivots. Otherwise the basis is kept as a spanning tree over the rows
@@ -29,9 +28,10 @@ exits:
   subtree that the leaving arc cuts off, recomputing the potentials there
   alone. The duals returned are these tree potentials, with u_0 = 0.
 
-Both exits judge costs relative to the cost matrix, never against an
-absolute floor, so multiplying every cost by a constant multiplies the
-answer by it, however small the costs.
+Both exits and the certificate judge costs relative to the cost matrix,
+never against an absolute floor, so multiplying every cost by a power of
+two multiplies the answer by it and changes no verdict, however small the
+costs.
 """
 from __future__ import annotations
 
@@ -58,7 +58,6 @@ __all__ = [
     "wq_knn_bound",
     "knn_transport_cost",
     "exact_wq",
-    "wq_1d_uniform_oracle",
 ]
 
 # Mass/feasibility tolerance for the exact solver, matching its contract.
@@ -102,20 +101,6 @@ def wq_knn_bound(
     """Upper bound on W_q^q against the k-NN weighted measure (equality at k=1)."""
     table = neighbor_table(eval_sample, train, k, norm)
     return knn_transport_cost(table, q)
-
-
-def wq_1d_uniform_oracle(a, b, q: float) -> float:
-    """Independent 1-D oracle: monotone coupling of two equal-size uniform samples.
-
-    Sorts both lists and averages |a_(i) - b_(i)|^q; optimal for d=1 with
-    uniform masses and equal sizes.
-    """
-    q = _check_q(q)
-    av = np.sort(np.asarray(a, dtype=np.float64).ravel())
-    bv = np.sort(np.asarray(b, dtype=np.float64).ravel())
-    if av.size != bv.size or av.size == 0:
-        raise InvalidInputError("oracle needs two nonempty lists of equal size")
-    return float(np.mean(np.abs(av - bv) ** q))
 
 
 # --- exact transportation LP ------------------------------------------------
@@ -221,12 +206,10 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     Returns (flow, u, v). First basis: the matrix-minimum rule
     (``_matrix_minimum``), cheapest open cell first with ties to the lowest
     flat index. If the row-minimum duals u = C.min(axis=1), v = 0 (always
-    feasible) come within 1e-9 * |cost| of the first basis's cost, plus
-    an allowance for its mass rounding, the first basis is returned with
-    them and no pivot is made; these duals are not tree potentials (u_0
-    is row 0's minimum, not 0). Unlike ``_certify``'s gap rule this one
-    has no floor of 1, which would let any start through once all costs
-    are small.
+    feasible) close the first basis's gap under ``_optimality_gap``, the
+    rule ``_certify`` applies, the first basis is returned with them and
+    no pivot is made; these duals are not tree potentials (u_0 is row 0's
+    minimum, not 0).
 
     Otherwise the simplex pivots from the same first basis. Entering arc:
     most negative reduced cost below -1e-10 * max(C), ties to the lowest
@@ -250,19 +233,13 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     # Flow of each basic cell by flat index; every other cell carries 0.0.
     tree_flow = _matrix_minimum(a, b, C)
     # Row minima and v = 0 are feasible duals: C - u >= 0 cell by cell.
-    # The start's cost is read off its n+m-1 basic cells. Its gap may hold
-    # 1e-9 of that cost, plus the start's rounding of the unit total mass
-    # (about an ulp per line it closes) shipped at its dearest basic cell:
-    # both scale with C, unlike _certify's floor of 1, which would let any
-    # start through once all costs are small.
+    # The start's cost is read off its n+m-1 basic cells.
     u = C.min(axis=1)
     v = np.zeros(m)
     cells = np.fromiter(tree_flow, np.intp, len(tree_flow))
     ships = np.fromiter(tree_flow.values(), np.float64, len(tree_flow))
-    basic_costs = C.take(cells)
-    start_cost = float(np.dot(ships, basic_costs))
-    slack = _FEAS_TOL * abs(start_cost) + (n + m) * _EPS * float(basic_costs.max())
-    if _duality_gap(start_cost, a, b, u, v) <= slack:
+    _, gap, allowed = _optimality_gap(a, b, u, v, C.take(cells), ships)
+    if gap <= allowed:
         return _flow_matrix(n, m, tree_flow), u, v
 
     cost = C.item  # cost(f): the cost of flat cell f as a Python float
@@ -359,22 +336,33 @@ def _certify(a, b, C, flow, u, v):
             f"transport plan infeasible: marginal errors {row_err:g}, {col_err:g}"
         )
     slack = float(np.min(C - u[:, None] - v[None, :]))
-    if not slack >= -_FEAS_TOL * max(1.0, float(C.max())):
+    if not slack >= -_FEAS_TOL * float(C.max()):
         raise NumericalError(f"duals infeasible: reduced cost {slack:g} below tolerance")
-    cost = float(np.vdot(flow, C))
-    gap = _duality_gap(cost, a, b, u, v)
-    if not gap <= _FEAS_TOL * max(1.0, abs(cost)):
-        raise NumericalError(f"optimality gap {gap:g} exceeds tolerance")
+    cost, gap, allowed = _optimality_gap(a, b, u, v, C, flow)
+    if not gap <= allowed:
+        raise NumericalError(f"optimality gap {gap:g} exceeds tolerance {allowed:g}")
     return cost
 
 
-def _duality_gap(cost, a, b, u, v):
-    """Distance from a plan's ``cost`` to the dual objective of (u, v).
+def _optimality_gap(a, b, u, v, costs, flows):
+    """(cost, gap, allowed) of a plan: the one optimality rule, for ``_certify`` and the exit.
 
-    With feasible duals it bounds how far the plan is above the optimum.
-    A NaN anywhere gives NaN, which fails every ``<=`` test.
+    ``costs`` and ``flows`` are the plan's cells, all or only its basic
+    ones. With feasible duals, ``gap`` (from the cost to the dual objective)
+    bounds how far the plan lies above the optimum. It may hold 1e-9 of the
+    cost plus n+m ulps of what rounding leaves over: the unit mass shipped
+    at the dearest positive-flow cell, and the dual objective's terms
+    a_i |u_i| and b_j |v_j|. All scale with the costs; none has a floor.
+    A NaN anywhere fails ``gap <= allowed``.
     """
-    return abs(cost - float(np.dot(a, u) + np.dot(b, v)))
+    cost = float(np.vdot(flows, costs))
+    gap = abs(cost - float(np.dot(a, u) + np.dot(b, v)))
+    allowed = _FEAS_TOL * abs(cost)
+    if not gap <= allowed:  # only then can the rounding terms change the verdict
+        dearest = float(costs.max(where=flows > 0.0, initial=0.0))
+        size = float(np.dot(a, np.abs(u)) + np.dot(b, np.abs(v)))
+        allowed += (len(a) + len(b)) * _EPS * (dearest + size)
+    return cost, gap, allowed
 
 
 def exact_wq(

@@ -94,7 +94,8 @@ class TestOverflowingDistances:
     )
     def test_exits_3(self, tmp_path, capsys, m, argv):
         ev, tr = tmp_path / "eval.csv", tmp_path / "train.csv"
-        write_sample_csv(ev, Sample([[1e308, -1e308]]))
+        # Two rows, so that m=40 reaches the index.
+        write_sample_csv(ev, Sample([[1e308, -1e308], [-1e308, 1e308]]))
         write_sample_csv(tr, Sample(np.random.default_rng(m).random((m, 2))))
         assert main([*argv, "--eval", str(ev), "--train", str(tr)]) == 3
         captured = capsys.readouterr()

@@ -2,19 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wknn.core import InvalidInputError, LabeledSample, Sample
+from wknn.core import InvalidInputError, LabeledSample, Norm, Sample
 from wknn.estimators import (
     Model,
     Observable,
-    generalization_error_mc,
     knn_regress,
     qi_hat,
     qi_knn,
     qi_tilde,
 )
-from wknn.experiments import builtin_scenario
-from wknn.knn import neighbor_table
+from wknn.experiments import builtin_scenario, generalization_error_mc
+from wknn.knn import knn_query, neighbor_table
 from wknn.rng import stream, uniform_open
 from wknn.weights import knn_weights, weighted_measure
 
@@ -107,6 +108,27 @@ class TestKnnRegress:
         with pytest.raises(InvalidInputError):
             knn_regress([0.0], train, 2)
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data(), m_range=st.sampled_from([(1, 31), (32, 70)]))
+    def test_matches_single_point_brute_force(self, data, m_range):
+        # Coordinates on a coarse grid: duplicated training points and
+        # distance ties are common, under every norm.
+        norm = data.draw(st.sampled_from(list(Norm)))
+        d = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(*m_range))
+        coord = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
+        inputs = np.array(data.draw(st.lists(st.tuples(*[coord] * d), min_size=m, max_size=m)))
+        e = data.draw(st.integers(1, 2))
+        outputs = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=m * e,
+                                              max_size=m * e))).reshape(m, e)
+        x = np.array(data.draw(st.tuples(*[coord] * d)))
+        k = data.draw(st.integers(1, m))
+        train = LabeledSample(Sample(inputs), outputs)
+        idx, _ = knn_query(x, train.inputs, k, norm)
+        want = train.outputs[idx].mean(axis=0)
+        got = knn_regress(x, train, k, norm)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestQiKnnIdentity:
     def test_matches_qi_hat_exactly(self):
@@ -167,6 +189,14 @@ class TestNoiseVarianceBound:
 
 
 class TestGeneralizationErrorMc:
+    def test_sampler_dimension_mismatch_raises(self):
+        model = Model(fn=lambda x, theta: theta, theta_sampler=lambda g, s: np.zeros(s))
+        with pytest.raises(InvalidInputError, match="dimension mismatch: 3 vs 2"):
+            generalization_error_mc(
+                model, lambda g, s: uniform_open(g, (s, 3)), lambda g, s: uniform_open(g, (s, 2)),
+                lambda x: x[:, 0], m=5, k=1, n_test=3,
+            )
+
     def test_noiseless_identity_small_error(self):
         scn = builtin_scenario("identity_1d_uniform")
         mse, se = generalization_error_mc(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wknn.core import InvalidInputError, Norm, Sample
-from wknn.knn import KnnIndex, NeighborTable, build_index, knn_query, neighbor_table
+from wknn.knn import KnnIndex, NeighborTable, knn_query, neighbor_table
 from wknn.rng import stream, uniform_open
 
 
@@ -123,20 +123,20 @@ class TestNeighborTableConstructor:
 
 class TestIndexOracleEquivalence:
     def test_single_point_sample(self):
-        idx = build_index(Sample([[1.0, 2.0]]))
+        idx = KnnIndex(Sample([[1.0, 2.0]]))
         gen = stream(6, 0)
         for _ in range(5):
-            i, d = idx.query(uniform_open(gen, 2), 1)
-            assert i[0] == 0
+            i, d = idx.query_batch(uniform_open(gen, (1, 2)), 1)
+            assert i[0, 0] == 0
 
     def test_duplicated_training_points(self):
         # duplicates: the lower index must always be reported first
         tr = Sample([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-        idx = build_index(tr)
-        i, d = idx.query([0.1, 0.1], 3)
-        np.testing.assert_array_equal(i, [0, 2, 4])
-        i, d = idx.query([0.9, 0.9], 4)
-        np.testing.assert_array_equal(i, [1, 3, 0, 2])
+        idx = KnnIndex(tr)
+        i, d = idx.query_batch([[0.1, 0.1]], 3)
+        np.testing.assert_array_equal(i, [[0, 2, 4]])
+        i, d = idx.query_batch([[0.9, 0.9]], 4)
+        np.testing.assert_array_equal(i, [[1, 3, 0, 2]])
 
     @pytest.mark.parametrize("norm", list(Norm))
     def test_random_instances_match_brute(self, norm):
@@ -152,7 +152,7 @@ class TestIndexOracleEquivalence:
             tr = Sample(tr_arr)
             k = int(gen.integers(1, m + 1))
             table = neighbor_table(ev, tr, k, norm)
-            index = build_index(tr, norm)
+            index = KnnIndex(tr, norm)
             ai, ad = index.query_batch(ev.points, k)
             np.testing.assert_array_equal(table.indices, ai)
             np.testing.assert_array_equal(table.distances, ad)

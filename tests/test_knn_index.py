@@ -157,25 +157,30 @@ def test_dispatch_boundary(monkeypatch, m, norm):
     gen = stream(9, m)
     train = np.round(uniform_open(gen, (m, 2)) * 4) / 4  # ties
     rows = np.concatenate([uniform_open(gen, (20, 2)), train[:5], train[:5]])
-    for k in (1, 3, m // 2, m - 1, m):
-        builds.clear()
-        table = neighbor_table(Sample(rows), Sample(train), k, norm)
-        assert len(builds) == (1 if m >= 32 and 2 * k < m else 0)
-        assert_same_bits((table.indices, table.distances), _brute_table(rows, train, k, norm))
+    # One row never pays for a tree; two rows (here distinct) already do.
+    for n in (1, 2, len(rows)):
+        for k in (1, 3, m // 2, m - 1, m):
+            builds.clear()
+            table = neighbor_table(Sample(rows[:n]), Sample(train), k, norm)
+            assert len(builds) == (1 if n >= 2 and m >= 32 and 2 * k < m else 0)
+            assert_same_bits((table.indices, table.distances),
+                             _brute_table(rows[:n], train, k, norm))
 
 
 @pytest.mark.parametrize("m", [5, 40], ids=["brute", "kdtree"])
 @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
 def test_overflowing_distances_raise(m, norm):
     train = uniform_open(stream(10, m), (m, 2))
-    far = np.array([[1e308, -1e308]])
+    # Two rows, so that m=40 reaches the index.
+    far = np.array([[1e308, -1e308], [-1e308, 1e308]])
     with pytest.raises(NumericalError):
         neighbor_table(Sample(far), Sample(train), 1, norm)
     with pytest.raises(NumericalError):
         KnnIndex(Sample(train), norm).query_batch(far, 1)
-    # The brute-force references stay unguarded.
-    assert np.isinf(_brute_table(far, train, 1, norm)[1]).all()
-    assert np.isinf(knn_query(far[0], Sample(train), 1, norm)[1]).all()
+    # The brute-force references stay unguarded and overflow on purpose.
+    with np.errstate(over="ignore"):
+        assert np.isinf(_brute_table(far, train, 1, norm)[1]).all()
+        assert np.isinf(knn_query(far[0], Sample(train), 1, norm)[1]).all()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -13,6 +13,7 @@ from wknn.core import (
     Norm,
     NumericalError,
     Sample,
+    _check_q,
     pairwise_distances,
     uniform_empirical,
     validate_measure,
@@ -25,7 +26,6 @@ from wknn.ot import (
     _matrix_minimum,
     _transport_simplex,
     exact_wq,
-    wq_1d_uniform_oracle,
     wq_1nn,
     wq_knn_bound,
 )
@@ -43,6 +43,20 @@ def random_instance(gen, n_max=8, m_max=8, d_max=3):
 def random_feasible_masses(gen, m):
     e = -np.log(uniform_open(gen, m))
     return e / e.sum()
+
+
+def wq_1d_uniform_oracle(a, b, q: float) -> float:
+    """Independent 1-D oracle: monotone coupling of two equal-size uniform samples.
+
+    Sorts both lists and averages |a_(i) - b_(i)|^q; optimal for d=1 with
+    uniform masses and equal sizes.
+    """
+    q = _check_q(q)
+    av = np.sort(np.asarray(a, dtype=np.float64).ravel())
+    bv = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    if av.size != bv.size or av.size == 0:
+        raise InvalidInputError("oracle needs two nonempty lists of equal size")
+    return float(np.mean(np.abs(av - bv) ** q))
 
 
 def permutation_oracle(a_pts, b_pts, q, norm=Norm.L2):
@@ -281,6 +295,93 @@ class TestCertificate:
         flow = np.array([[0.5, 0.0], [0.0, 0.5]])
         assert _certify(a, b, cost, flow, np.zeros(2), np.zeros(2)) == 0.0
 
+    # Below unit cost scale: C = delta [[1, 2], [2, 5]], the optimum is the
+    # anti-diagonal plan at 2 delta, and u = (delta, 2 delta), v = (0, delta)
+    # are its optimal duals.
+    DELTA = 1e-10
+    SMALL = DELTA * np.array([[1.0, 2.0], [2.0, 5.0]])
+
+    def test_small_scale_diagonal_plan_rejected(self):
+        # The diagonal plan costs 3 delta; the row minima bound it by 1.5 delta.
+        a = b = np.array([0.5, 0.5])
+        flow = np.diag([0.5, 0.5])
+        u = self.SMALL.min(axis=1)
+        with pytest.raises(NumericalError, match="optimality gap"):
+            _certify(a, b, self.SMALL, flow, u, np.zeros(2))
+
+    def test_small_scale_infeasible_duals_rejected(self):
+        a = b = np.array([0.5, 0.5])
+        flow = np.array([[0.0, 0.5], [0.5, 0.0]])
+        u, v = self.DELTA * np.array([1.0, 2.0]), self.DELTA * np.array([0.0, 1.0])
+        assert _certify(a, b, self.SMALL, flow.copy(), u, v) == pytest.approx(2 * self.DELTA)
+        with pytest.raises(NumericalError, match="duals infeasible"):
+            _certify(a, b, self.SMALL, flow, u + 5 * self.DELTA, v)
+
+    def test_far_apart_clusters_certified(self):
+        # Every positive flow costs about 1e-6 while the tree's duals reach
+        # 1e6, so rounding the dual objective leaves a gap near 1e-11: the
+        # rule must allow for the duals' size, not only for the plan's cells.
+        src = validate_measure([[0.0], [1000.0]], [0.5, 0.5])
+        tgt = validate_measure([[1e-3], [1000.0 + 1e-3], [1000.0 + 2e-3]], [0.5, 0.25, 0.25])
+        cost, plan = exact_wq(src, tgt, 2.0)
+        assert cost == pytest.approx(1.75e-6, rel=1e-9, abs=0)
+        assert {(i, j) for i, j, _ in plan.entries} == {(0, 0), (1, 1), (1, 2)}
+
+
+@st.composite
+def certified_optimum(draw):
+    """(a, b, C, flow, u, v): a small instance at unit scale, solved and certified."""
+    n, m = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    # No cost between 0 and 2^-20, so that a scale of 2^-40 keeps every
+    # cost normal and every product by a power of two exact.
+    cost = st.one_of(st.integers(0, 20).map(float), st.floats(2.0**-20, 20.0))
+    C = np.array(draw(st.lists(cost, min_size=n * m, max_size=n * m))).reshape(n, m)
+    a = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=np.float64)
+    b = np.array(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)), dtype=np.float64)
+    a /= a.sum()
+    b /= b.sum()
+    b *= float(np.sum(a)) / float(np.sum(b))  # as exact_wq balances the masses
+    flow, u, v = _transport_simplex(a, b, C)
+    _certify(a, b, C, flow, u, v)
+    return a, b, C, flow, u, v
+
+
+def dearest_cycle_push(C, flow):
+    """The plan after the largest cost increase that one 4-cycle can make:
+    ship t more through (i, l) and (r, j), t less through (i, j) and (r, l)."""
+    best, plan = 0.0, None
+    cells = list(zip(*np.nonzero(flow > 0.0)))
+    for (i, j), (r, l) in itertools.combinations(cells, 2):
+        if i == r or j == l:
+            continue
+        t = min(flow[i, j], flow[r, l])
+        rise = t * (C[i, l] + C[r, j] - C[i, j] - C[r, l])
+        if rise > best:
+            best, plan = rise, flow.copy()
+            plan[i, j] -= t
+            plan[r, l] -= t
+            plan[i, l] += t
+            plan[r, j] += t
+    return best, plan
+
+
+class TestCertificateAtEveryScale:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(inst=certified_optimum(), scale=st.integers(-40, 20))
+    def test_pushed_optimum_rejected_at_every_scale(self, inst, scale):
+        # Pushing mass around a cycle with positive reduced cost keeps the
+        # plan feasible and the duals feasible but opens the gap by the
+        # cost it adds; scaling by a power of two changes no verdict.
+        a, b, C, flow, u, v = inst
+        rise, pushed = dearest_cycle_push(C, flow)
+        assume(rise > 1e-6 * float(C.max()))
+        lam = 2.0**scale
+        for factor in (1.0, lam):
+            cost = _certify(a, b, factor * C, flow.copy(), factor * u, factor * v)
+            assert cost == factor * float(np.vdot(flow, C))
+            with pytest.raises(NumericalError, match="optimality gap"):
+                _certify(a, b, factor * C, pushed.copy(), factor * u, factor * v)
+
 
 @st.composite
 def degenerate_measure(draw, d):
@@ -335,7 +436,8 @@ class TestDegenerateInputs:
         np.testing.assert_allclose(col, tgt.masses, rtol=0, atol=1e-9)
         support = int(np.count_nonzero(src.masses)) + int(np.count_nonzero(tgt.masses))
         assert len(plan.entries) <= support - 1
-        oracle = highs_cost(src, tgt, q, norm)
+        oracle = highs_cost(src, tgt, q, norm, primal_feasibility_tolerance=1e-10,
+                            dual_feasibility_tolerance=1e-10)
         assert abs(cost - oracle) <= 1e-9 * max(1.0, abs(cost))
 
 

@@ -21,11 +21,11 @@ import numpy as np
 import pytest
 
 from wknn.core import Sample, uniform_empirical, validate_measure
-from wknn.estimators import generalization_error_mc
 from wknn.experiments import (
     atom_consistency_experiment,
     builtin_scenario,
     const_k,
+    generalization_error_mc,
     noisy_rate_experiment,
     power_k,
     qi_experiment,
