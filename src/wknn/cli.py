@@ -211,7 +211,11 @@ def _convert(action, raw: str):
 
 
 def _resolved_seed(args) -> int:
-    return int(os.environ.get("WKNN_SEED", "0")) if args.seed is None else int(args.seed)
+    raw = os.environ.get("WKNN_SEED", "0") if args.seed is None else args.seed
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidInputError(f"WKNN_SEED must be an integer, got {raw!r}") from None
 
 
 def _require_out(args) -> Path:

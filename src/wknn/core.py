@@ -1,8 +1,7 @@
 """Shared domain types: points, samples, norms and discrete measures.
 
 Everything in this module is immutable after construction and every
-operation is pure, so types and functions are safe to share across
-threads without synchronization.
+operation is pure.
 
 Validation happens once, at the boundary: public constructors check and
 copy input from outside the package, while values that wknn computes from

@@ -3,8 +3,10 @@
 Reproducibility contract: replication ``rep`` of any experiment draws all
 of its randomness from ``stream(base_seed, rep)`` in a fixed order
 (evaluation sample, then training sample, then parameter draws), so
-results are identical for any thread count and any grid of scenario
-parameters shares common random numbers across grid points.
+results do not depend on the order replications run in, and any grid of
+scenario parameters shares common random numbers across grid points.
+Replications run in one serial loop; the experiments' ``threads``
+argument is accepted and has no effect.
 """
 from __future__ import annotations
 
@@ -319,8 +321,8 @@ class RateFit:
 def fit_loglog(points) -> RateFit:
     """OLS fit of log(statistic) against log(abscissa)."""
     pts = [(float(x), float(y)) for x, y in points]
-    if any(y <= 0.0 for _, y in pts):
-        raise InvalidInputError("log-log fit needs positive ordinates")
+    if not all(0.0 < v < math.inf for pt in pts for v in pt):
+        raise InvalidInputError("log-log fit needs finite positive abscissae and ordinates")
     xs = np.array([math.log(x) for x, _ in pts])
     ys = np.array([math.log(y) for _, y in pts])
     if np.unique(xs).size < 2:
@@ -394,7 +396,7 @@ def _check_m_grid(m_grid: Sequence[int]) -> list[int]:
     return ms
 
 
-def _run_grid(points, cell, n, replications, base_seed, threads):
+def _run_grid(points, cell, n, replications, base_seed):
     """The one Monte Carlo loop: grid point -> replications -> records -> summaries.
 
     ``cell(point)`` returns one record label tuple (scenario, m, n, k, q,
@@ -417,7 +419,7 @@ def _run_grid(points, cell, n, replications, base_seed, threads):
             stats = worker(rep)
             return stats, time.perf_counter() - t0
 
-        outcomes = indexed_map(timed, replications, threads)
+        outcomes = indexed_map(timed, replications)
         for rep, (stats, secs) in enumerate(outcomes):
             share = secs / len(stats)
             for label, stat in zip(labels, stats):
@@ -453,7 +455,8 @@ def _squared_qi_error(scn: Scenario, base_seed: int, n: int, m: int, k: int, nor
 def _certify_record(x: Sample, xp: Sample, table, k, q, norm, stat) -> None:
     wv = knn_weights(table, xp.size)
     cost, _ = exact_wq(uniform_empirical(x), weighted_measure(xp, wv), q, norm)
-    tol = 1e-9 * max(1.0, abs(stat))
+    # Relative to the larger value with no floor, as in ot._optimality_gap.
+    tol = 1e-9 * max(abs(stat), abs(cost))
     if k == 1:
         if abs(cost - stat) > tol:
             raise NumericalError(
@@ -503,7 +506,7 @@ def wasserstein_rate_experiment(
 
         return [(scenario.name, m, n, k, float(q), s_corr)], worker
 
-    records, (summary,) = _run_grid(m_grid, cell, n, replications, base_seed, threads)
+    records, (summary,) = _run_grid(m_grid, cell, n, replications, base_seed)
     fit = fit_loglog([(row.key, row.mean) for row in summary]) if len(m_grid) >= 2 else None
     statistic = "closed_form_1nn" if all(r.k == 1 for r in records) else "knn_bound"
     if certify:
@@ -533,7 +536,7 @@ def qi_experiment(
         scn = scenario if scenario.params.get("s_corr") == s else scenario.with_params(s_corr=s)
         return [(scn.name, m, n, k, 2.0, s)], _squared_qi_error(scn, base_seed, n, m, k, norm)
 
-    records, (summary,) = _run_grid(s_corr_grid, cell, n, replications, base_seed, threads)
+    records, (summary,) = _run_grid(s_corr_grid, cell, n, replications, base_seed)
     return QiExperimentResult(records, summary)
 
 
@@ -574,8 +577,7 @@ def atom_consistency_experiment(
         labels = [(scn.name, m, n, 1, 1.0, s_corr), (scn.name, m, n, k_big, 1.0, s_corr)]
         return labels, worker
 
-    records, (summary_1nn, summary_sqrt) = _run_grid(m_grid, cell, n, replications, base_seed,
-                                                      threads)
+    records, (summary_1nn, summary_sqrt) = _run_grid(m_grid, cell, n, replications, base_seed)
     return AtomExperimentResult(records, summary_1nn, summary_sqrt)
 
 
@@ -607,7 +609,7 @@ def noisy_rate_experiment(
         labels = [(scenario.name, m, n, k, 2.0, s_corr)]
         return labels, _squared_qi_error(scenario, base_seed, n, m, k, norm)
 
-    records, (summary,) = _run_grid(m_grid, cell, n, replications, base_seed, threads)
+    records, (summary,) = _run_grid(m_grid, cell, n, replications, base_seed)
     fit = fit_loglog([(row.key, math.sqrt(row.mean)) for row in summary])
     return QiExperimentResult(records, summary), fit
 
@@ -645,7 +647,7 @@ def generalization_error_mc(
         return (float(np.dot(diff, diff)),)
 
     labels = [("generalization_error", m, 1, k, 2.0, None)]
-    _, ((row,),) = _run_grid([m], lambda _: (labels, worker), 1, n_test, seed, 1)
+    _, ((row,),) = _run_grid([m], lambda _: (labels, worker), 1, n_test, seed)
     return row.mean, row.stderr
 
 

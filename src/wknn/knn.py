@@ -209,7 +209,7 @@ class KnnIndex:
     A kd-tree proposes candidates; distances are then recomputed with the
     package's canonical norm reduction and re-ranked by (distance, index),
     so queries agree bit for bit with the brute force. Immutable after
-    construction; concurrent queries are safe.
+    construction.
     """
 
     def __init__(self, train: Sample, norm: Norm = DEFAULT_NORM):

@@ -3,8 +3,7 @@
 Streams are counter-based (Philox, 64-bit words) and split by an explicit
 stream id: ``stream(seed, rep)`` keys the generator with the pair
 ``(seed, rep)``, and by convention the stream id is the replication index.
-Results are therefore independent of execution order and of how many
-threads consume the replications.
+Results are therefore independent of execution order.
 
 Normal variates are produced by inverse-CDF transform of open-interval
 uniforms (Wichura-class inverse normal CDF from scipy), not by rejection
@@ -13,8 +12,6 @@ sampling, so every draw consumes a fixed amount of the stream.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import ndtri
@@ -23,7 +20,6 @@ from .core import InvalidInputError
 
 __all__ = ["stream", "uniform_open", "standard_normal", "indexed_map"]
 
-_MASK64 = (1 << 64) - 1
 _DENOM = float(1 << 53)
 
 
@@ -31,9 +27,9 @@ def stream(seed: int, stream_id: int) -> np.random.Generator:
     """Independent generator for (seed, stream_id); stream id = replication index."""
     seed = int(seed)
     stream_id = int(stream_id)
-    if seed < 0 or stream_id < 0:
-        raise InvalidInputError("seed and stream id must be nonnegative integers")
-    key = np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
+    if not (0 <= seed < 1 << 64 and 0 <= stream_id < 1 << 64):
+        raise InvalidInputError("seed and stream id must be integers in [0, 2**64)")
+    key = np.array([seed, stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -48,19 +44,13 @@ def standard_normal(gen: np.random.Generator, size=None) -> np.ndarray:
 
 
 def indexed_map(fn, count: int, threads: int = 1) -> list:
-    """Apply ``fn`` to 0..count-1, in index order, optionally on a thread pool.
+    """``[fn(0), ..., fn(count - 1)]``, called in index order on the calling thread.
 
-    Output is a list ordered by index, so results do not depend on the
-    degree of parallelism (each task must be pure given its index). The
-    pool never has more workers than tasks or CPUs.
+    ``threads`` is accepted and has no effect: a thread pool measured slower.
     """
     if count < 0:
         raise InvalidInputError("count must be nonnegative")
-    workers = min(int(threads), count, os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+    return [fn(i) for i in range(count)]
 
 
 def _mean_stderr(values) -> tuple[float, float]:

@@ -272,6 +272,17 @@ class TestInvalidFlags:
         assert main(["weights", "--eval", ev, "--train", tr, "--threads", threads]) == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_non_integer_env_seed_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("WKNN_SEED", "abc")
+        assert main(["constants", "--scenario", "identity_1d_uniform", "--q", "1"]) == 2
+        assert "WKNN_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [str(2**64), str(2**64 + 7)])
+    def test_seed_beyond_64_bits_exits_2(self, tmp_path, capsys, seed):
+        # Masked to 64 bits, 2**64 would silently rerun seed 0.
+        assert self.rate(tmp_path, "--seed", seed) == 2
+        assert "2**64" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [[], ["rate-exp", "--no-such-flag"], ["bogus"]])
     def test_usage_errors_return_2(self, capsys, argv):
         assert main(argv) == 2

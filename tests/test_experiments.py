@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from wknn.core import InvalidInputError, NumericalError
+from wknn.core import DEFAULT_NORM, InvalidInputError, NumericalError, Sample
 from wknn.estimators import Observable
 from wknn.experiments import (
+    _certify_record,
     atom_consistency_experiment,
     builtin_scenario,
     const_k,
@@ -20,8 +22,9 @@ from wknn.experiments import (
     scenario_names,
     wasserstein_rate_experiment,
 )
-from wknn import rng
-from wknn.rng import indexed_map, stream
+from wknn.knn import neighbor_table
+from wknn.ot import knn_transport_cost
+from wknn.rng import indexed_map, stream, uniform_open
 
 
 class TestBuiltinScenarios:
@@ -172,40 +175,44 @@ class TestFitLoglog:
         with pytest.raises(InvalidInputError):
             fit_loglog([(10, 1.0), (10, 2.0)])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(0, 1.0), (-10, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+         (30, math.nan), (30, math.inf)],
+    )
+    def test_nonfinite_or_nonpositive_point_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            fit_loglog([(10, 1.0), (20, 0.5), bad])
+
 
 class TestIndexedMap:
-    @pytest.fixture()
-    def pools(self, monkeypatch):
-        """Record the worker count of each pool; tasks run serially."""
-        sizes = []
+    @pytest.mark.parametrize("count", [0, 3, 9])
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_serial_in_index_order_on_calling_thread(self, threads, count):
+        calls = []
 
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def fn(i):
+            calls.append((i, threading.get_ident()))
+            return i * i
 
-            def __enter__(self):
-                return self
+        assert indexed_map(fn, count, threads=threads) == [i * i for i in range(count)]
+        assert calls == [(i, threading.get_ident()) for i in range(count)]
 
-            def __exit__(self, *exc):
-                return False
+    def test_negative_count_rejected(self):
+        with pytest.raises(InvalidInputError):
+            indexed_map(lambda i: i, -1)
 
-            def map(self, fn, items):
-                return map(fn, items)
 
-        monkeypatch.setattr(rng, "ThreadPoolExecutor", FakePool)
-        return sizes
+class TestStream:
+    @pytest.mark.parametrize("seed, stream_id", [(2**64, 0), (0, 2**64), (2**70, 3), (-1, 0)])
+    def test_key_outside_64_bits_rejected(self, seed, stream_id):
+        with pytest.raises(InvalidInputError):
+            stream(seed, stream_id)
 
-    @pytest.mark.parametrize(
-        "cpus, threads, count, expected",
-        [(1, 2, 5, []), (None, 2, 5, []), (4, 2, 5, [2]), (4, 8, 3, [3]), (2, 3, 9, [2])],
-    )
-    def test_workers_capped_at_cpus_and_tasks(self, monkeypatch, pools, cpus, threads,
-                                              count, expected):
-        monkeypatch.setattr(rng.os, "cpu_count", lambda: cpus)
-        assert indexed_map(lambda i: i * i, count, threads=threads) == [
-            i * i for i in range(count)
-        ]
-        assert pools == expected
+    def test_largest_key_accepted(self):
+        a = stream(2**64 - 1, 2**64 - 1).integers(0, 1 << 62, 4)
+        b = stream(0, 0).integers(0, 1 << 62, 4)
+        assert a.tolist() != b.tolist()
 
 
 class TestRateExperiment:
@@ -240,6 +247,21 @@ class TestRateExperiment:
             scn, [20, 40], 10, power_k(0.5), 2.0, 3, 7, certify=True
         )
         assert res2.statistic.startswith("knn_bound")
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_certify_is_relative_at_tiny_scale(self, k):
+        # Costs near 1e-14 sit far below any absolute tolerance.
+        gen = stream(71, 0)
+        x = Sample(1e-6 * uniform_open(gen, (10, 2)))
+        xp = Sample(1e-6 * uniform_open(gen, (20, 2)))
+        table = neighbor_table(x, xp, k, DEFAULT_NORM)
+        stat = knn_transport_cost(table, 2.0)
+        assert 0.0 < stat < 1e-12
+        _certify_record(x, xp, table, k, 2.0, DEFAULT_NORM, stat)
+        # k = 1 must match the cost; k > 1 must not fall below it.
+        wrong = 2.0 * stat if k == 1 else 0.5 * stat
+        with pytest.raises(NumericalError):
+            _certify_record(x, xp, table, k, 2.0, DEFAULT_NORM, wrong)
 
     def test_identity_rate_near_minus_one(self):
         scn = builtin_scenario("identity_1d_uniform")
