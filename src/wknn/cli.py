@@ -12,10 +12,10 @@ import math
 import os
 import platform
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .core import (
@@ -173,7 +173,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
 def _read_config(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -219,14 +219,32 @@ def _resolved_seed(args) -> int:
 
 
 def _require_out(args) -> Path:
+    """The --out directory, checked but not created: ``_writing`` creates it."""
     if not getattr(args, "out", None):
         raise InvalidInputError("--out DIR is required for experiment subcommands")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise InvalidInputError(f"--out {out}: {path} is not a directory")
+            break
     return out
 
 
+@contextmanager
+def _writing(out: Path):
+    """Create ``out`` just before the first write, so a run that fails
+    before it leaves no directory; an OS error on the way is invalid input."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write to --out {out}: {exc}") from exc
+
+
 def _write_manifest(out: Path, args, extra: dict) -> None:
+    import scipy
+
     resolved = [(k, v) for k, v in sorted(vars(args).items()) if k not in {"command", "config"}]
     versions = [("version.wknn", __version__), ("version.python", platform.python_version()),
                 ("version.numpy", np.__version__), ("version.scipy", scipy.__version__)]
@@ -282,12 +300,13 @@ def _cmd_rate_exp(args) -> int:
         threads=args.threads,
         certify=args.certify,
     )
-    write_runs_csv(out / "runs.csv", result.records)
-    write_summary_csv(out / "summary.csv", result.summary, "m")
-    if result.fit is not None:
-        write_ratefit_csv(out / "ratefit.csv", result.fit)
-    _write_manifest(out, args, {"seed.resolved": seed, "reps.resolved": reps,
-                                "statistic": result.statistic})
+    with _writing(out):
+        write_runs_csv(out / "runs.csv", result.records)
+        write_summary_csv(out / "summary.csv", result.summary, "m")
+        if result.fit is not None:
+            write_ratefit_csv(out / "ratefit.csv", result.fit)
+        _write_manifest(out, args, {"seed.resolved": seed, "reps.resolved": reps,
+                                    "statistic": result.statistic})
     return EXIT_OK
 
 
@@ -308,10 +327,11 @@ def _cmd_qi_exp(args) -> int:
         norm=norm,
         threads=args.threads,
     )
-    write_runs_csv(out / "runs.csv", result.records)
-    write_summary_csv(out / "summary.csv", result.summary, "s_corr")
-    _write_manifest(out, args, {"seed.resolved": seed, "reps.resolved": reps,
-                                "statistic": "squared_qi_error"})
+    with _writing(out):
+        write_runs_csv(out / "runs.csv", result.records)
+        write_summary_csv(out / "summary.csv", result.summary, "s_corr")
+        _write_manifest(out, args, {"seed.resolved": seed, "reps.resolved": reps,
+                                    "statistic": "squared_qi_error"})
     return EXIT_OK
 
 
@@ -328,11 +348,12 @@ def _cmd_atom_demo(args) -> int:
         norm=norm,
         threads=args.threads,
     )
-    write_runs_csv(out / "runs.csv", result.records)
-    write_summary_csv(out / "summary_k1.csv", result.summary_1nn, "m")
-    write_summary_csv(out / "summary_ksqrt.csv", result.summary_sqrt, "m")
-    _write_manifest(out, args, {"seed.resolved": seed, "reps.resolved": reps,
-                                "statistic": "abs_qi_error"})
+    with _writing(out):
+        write_runs_csv(out / "runs.csv", result.records)
+        write_summary_csv(out / "summary_k1.csv", result.summary_1nn, "m")
+        write_summary_csv(out / "summary_ksqrt.csv", result.summary_sqrt, "m")
+        _write_manifest(out, args, {"seed.resolved": seed, "reps.resolved": reps,
+                                    "statistic": "abs_qi_error"})
     return EXIT_OK
 
 
@@ -354,8 +375,11 @@ def _cmd_regress_exp(args) -> int:
         norm=norm,
         seed=seed,
     )
-    _write_table(out / "summary.csv", ("mse", "stderr", "n_test"), [(mse, stderr, args.n_test)])
-    _write_manifest(out, args, {"seed.resolved": seed, "statistic": "l2_generalization_error"})
+    with _writing(out):
+        _write_table(out / "summary.csv", ("mse", "stderr", "n_test"),
+                     [(mse, stderr, args.n_test)])
+        _write_manifest(out, args, {"seed.resolved": seed,
+                                    "statistic": "l2_generalization_error"})
     return EXIT_OK
 
 

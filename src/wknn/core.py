@@ -325,7 +325,7 @@ def read_sample_csv(path) -> Union[Sample, LabeledSample]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     rows = list(csv.reader(text.splitlines()))
     rows = [r for r in rows if r]

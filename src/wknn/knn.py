@@ -14,6 +14,9 @@ path it is the one place that deduplicates evaluation rows: it queries
 each distinct row once, and the ``NeighborTable`` it returns keeps those
 answers plus a map from the n rows into them, so repeated rows cost one
 answer each until a caller reads the full (n, k) arrays.
+
+The first ``KnnIndex`` imports ``scipy.spatial``; a process that stays on
+the brute force never loads it.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import DEFAULT_NORM, InvalidInputError, Norm, NumericalError, Sample, as_point
 from .core import _freeze, _reduce_norm, _trusted
@@ -218,6 +220,8 @@ class KnnIndex:
         self._train = train.points
         self._norm = norm
         self._p = norm.p
+        from scipy.spatial import cKDTree
+
         # Sliding-midpoint splits build faster than median splits and answer
         # queries as fast; the re-ranking below makes the output independent
         # of the tree's shape.

@@ -64,6 +64,11 @@ __all__ = [
 _FEAS_TOL = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
 
+# Below this many cells one stable sort of the cost matrix is cheaper than
+# the default sort plus its tie check (8x8: 2.5 against 4.5 us on a 2-core
+# Xeon with AVX-512, numpy 2.4); the two cross between 144 and 156 cells.
+_STABLE_SORT_CELLS = 150
+
 
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
@@ -116,15 +121,19 @@ def _matrix_minimum(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> dict:
     the final cell, so the n+m-1 cells form a spanning tree. Returns the
     flow of each cell by flat index.
 
-    Distinct costs have one sorted order, so the default (unstable, much
-    faster) argsort gives it; only when two costs tie does the stable sort
-    run, to break the tie by flat index.
+    Small matrices take the stable argsort outright. From
+    ``_STABLE_SORT_CELLS`` cells on, distinct costs have one sorted order,
+    so the default (unstable, faster there) argsort gives it; only when two
+    costs tie does the stable sort run, to break the tie by flat index.
     """
     n, m = C.shape
-    order = np.argsort(C, axis=None)
-    ranked = C.ravel()[order]
-    if (ranked[1:] == ranked[:-1]).any():
+    if n * m < _STABLE_SORT_CELLS:
         order = np.argsort(C, axis=None, kind="stable")
+    else:
+        order = np.argsort(C, axis=None)
+        ranked = C.ravel()[order]
+        if (ranked[1:] == ranked[:-1]).any():
+            order = np.argsort(C, axis=None, kind="stable")
     rows, cols = np.divmod(order, m)
     arem = a.tolist()
     brem = b.tolist()

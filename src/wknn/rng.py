@@ -7,14 +7,15 @@ Results are therefore independent of execution order.
 
 Normal variates are produced by inverse-CDF transform of open-interval
 uniforms (Wichura-class inverse normal CDF from scipy), not by rejection
-sampling, so every draw consumes a fixed amount of the stream.
+sampling, so every draw consumes a fixed amount of the stream. The first
+``standard_normal`` call imports ``scipy.special``; a process that draws
+no normal variate never loads it.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import InvalidInputError
 
@@ -40,6 +41,8 @@ def uniform_open(gen: np.random.Generator, size=None) -> np.ndarray:
 
 def standard_normal(gen: np.random.Generator, size=None) -> np.ndarray:
     """Standard normal draws via the inverse CDF (|error| far below 1e-9)."""
+    from scipy.special import ndtri
+
     return ndtri(uniform_open(gen, size=size))
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +313,55 @@ class TestInvalidFlags:
         assert "error" in capsys.readouterr().err
 
 
+class TestOutDirectory:
+    """--out is checked up front and created only just before the first write."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rate-exp", "--m-grid", "5,3"], "increasing"),
+            (["qi-exp", "--reps", "0"], "replications"),
+            (["regress-exp", "--m", "0"], "must be positive"),
+        ],
+    )
+    def test_invalid_run_leaves_no_directory(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "new" / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_at_or_below_a_file_exits_2(self, tmp_path, capsys, below):
+        blocker = tmp_path / "F"
+        blocker.write_text("not a directory\n")
+        out = blocker / below if below else blocker
+        assert main(["rate-exp", "--m-grid", "20,40", "--n", "5", "--reps", "2",
+                     "--out", str(out)]) == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_error_while_writing_exits_2(self, tmp_path, capsys):
+        # A directory where runs.csv should go: the write itself fails.
+        (tmp_path / "runs.csv").mkdir()
+        assert main(["atom-demo", "--m-grid", "20,40", "--n", "5", "--reps", "2",
+                     "--out", str(tmp_path)]) == 2
+        assert "cannot write to --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--config", "--eval", "--train"])
+def test_undecodable_input_exits_2(tmp_path, hand_instance, capsys, option):
+    ev, tr = hand_instance
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe" + (tmp_path / "eval.csv").read_bytes())
+    argv = {"--eval": ev, "--train": tr, "--config": None}
+    argv[option] = str(bad)
+    argv = ["weights", *[tok for opt, val in argv.items() if val for tok in (opt, val)]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and str(bad) in err
+
+
 class TestUnreadOptions:
     """Flags are registered only on the subcommands that read them."""
 
@@ -368,6 +418,8 @@ class TestUnreadOptions:
 _SIZE = st.integers(-2, 6)
 _M = st.integers(-3, 60)
 _GRID = st.lists(_M, min_size=0, max_size=3).map(lambda ms: ",".join(map(str, ms)))
+# --out kinds: a fresh path, an existing directory, an existing file, a path below a file.
+_OUT = st.sampled_from(["{tmp}/new/out", "{tmp}", "{tmp}/file", "{tmp}/file/sub"])
 
 
 @st.composite
@@ -383,7 +435,7 @@ def experiment_argv(draw):
         argv += ["--k-rule", f"const:{draw(_SIZE)}"]
         if draw(st.booleans()):
             argv.append("--certify")
-    return argv
+    return [*argv, "--out", draw(_OUT)]
 
 
 _Q = st.sampled_from(["0.5", "1", "2", "1e3", "nan"])
@@ -403,8 +455,9 @@ def tiny_sample(draw, d, rows=st.integers(1, 4)):
 def other_argv(draw):
     """Argument lists for the subcommands that take CSVs or print constants.
 
-    ``{eval}``, ``{train}`` and ``{out}`` are placeholders; the returned
-    dict maps each CSV placeholder to the points to write there.
+    ``{eval}`` and ``{train}`` are placeholders; the returned dict maps each
+    CSV placeholder to the points to write there, or to None for a CSV that
+    is not valid UTF-8. Paths hold ``{tmp}`` (see ``run_in_tmp``).
     """
     command = draw(st.sampled_from(["weights", "distance", "regress-exp", "constants"]))
     k = str(draw(_SIZE))
@@ -415,6 +468,9 @@ def other_argv(draw):
         # Training samples on both sides of the kd-tree threshold m = 32.
         m = st.one_of(st.integers(1, 4), st.integers(32, 36))
         csvs = {"{eval}": draw(tiny_sample(d)), "{train}": draw(tiny_sample(d_train, m))}
+        garbled = draw(st.sampled_from([None, None, None, "{eval}", "{train}"]))
+        if garbled:
+            csvs[garbled] = None
         # Mostly k = 1, which every sample size accepts.
         k = str(draw(st.one_of(st.just(1), _SIZE)))
         argv = [command, "--eval", "{eval}", "--train", "{train}", "--k", k]
@@ -426,31 +482,50 @@ def other_argv(draw):
     scenario = draw(st.sampled_from(["identity_1d_uniform", "gauss_gauss", "diag_uniform_gauss"]))
     if command == "regress-exp":
         return ["regress-exp", "--scenario", scenario, "--m", str(draw(_M)), "--k", k,
-                "--n-test", str(draw(st.integers(-1, 20))), "--seed", "1", "--out", "{out}"], {}
+                "--n-test", str(draw(st.integers(-1, 20))), "--seed", "1", "--out", draw(_OUT)], {}
     return ["constants", "--scenario", scenario, "--q", draw(_Q),
             "--draws", str(draw(st.integers(-1, 50))), "--seed", "1"], {}
+
+
+def run_in_tmp(argv, csvs=None):
+    """``main(argv)`` in a fresh directory, with ``{tmp}/file`` an existing file,
+    ``{tmp}`` replaced by that directory and each CSV placeholder by a
+    written CSV (undecodable bytes where its points are None). Returns the
+    exit code, stdout, and the paths the run created."""
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout):
+        Path(tmp, "file").write_text("not a directory\n")
+        paths = {}
+        for name, points in (csvs or {}).items():
+            paths[name] = Path(tmp, name.strip("{}") + ".csv")
+            if points is None:
+                paths[name].write_bytes(b"x\xff\xfe\n1\n")
+            else:
+                write_sample_csv(paths[name], Sample(points))
+        before = set(Path(tmp).rglob("*"))
+        code = main([str(paths.get(arg, arg)).replace("{tmp}", tmp) for arg in argv])
+        created = set(Path(tmp).rglob("*")) - before
+    return code, stdout.getvalue(), created
 
 
 class TestExitCodeProperty:
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(argv=experiment_argv())
     def test_experiments_exit_0_2_or_3(self, argv):
-        with tempfile.TemporaryDirectory() as out:
-            assert main([*argv, "--out", out]) in {0, 2, 3}
+        code, _, created = run_in_tmp(argv)
+        assert code in {0, 2, 3}
+        if code == 2:
+            assert not created
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(case=other_argv())
     def test_other_commands_exit_0_2_or_3(self, case):
         argv, csvs = case
-        stdout = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout):
-            paths = {"{out}": tmp}
-            for name, points in csvs.items():
-                paths[name] = f"{tmp}/{name.strip('{}')}.csv"
-                write_sample_csv(paths[name], Sample(points))
-            code = main([paths.get(arg, arg) for arg in argv])
+        code, stdout, created = run_in_tmp(argv, csvs)
         assert code in {0, 2, 3}
+        if code == 2:
+            assert not created
         if code == 0 and argv[0] in {"weights", "distance"}:
             # Every printed weight or cost is finite; an overflow exits 3.
-            for line in stdout.getvalue().splitlines()[1:]:
+            for line in stdout.splitlines()[1:]:
                 assert math.isfinite(float(line.split(",")[0 if argv[0] == "distance" else 1]))

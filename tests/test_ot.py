@@ -20,6 +20,7 @@ from wknn.core import (
 )
 from wknn.knn import neighbor_table
 from wknn.ot import (
+    _STABLE_SORT_CELLS,
     _certify,
     _flow_matrix,
     _hang,
@@ -517,6 +518,43 @@ class TestFirstBasis:
         edge = np.full(n + m, -1, dtype=np.intp)
         # n+m-1 cells that reach all n+m nodes form a spanning tree.
         assert _hang(0, -1, adj, parent, depth, pot, edge, C.item, n, m) == n + m
+
+    @pytest.mark.parametrize("kind", ["random", "ties"])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (8, 8), (12, 12), (1, _STABLE_SORT_CELLS - 1), (_STABLE_SORT_CELLS - 1, 1),
+                  (1, _STABLE_SORT_CELLS), (_STABLE_SORT_CELLS, 1), (12, 13), (30, 40)],
+    )
+    def test_matches_stable_sort_on_both_sides_of_the_size_rule(self, shape, kind):
+        n, m = shape
+        gen = stream(43, n * 1000 + m)
+        C = uniform_open(gen, shape)
+        if kind == "ties":
+            C = np.floor(4.0 * C)
+        a, b = uniform_open(gen, n), uniform_open(gen, m)
+        a /= a.sum()
+        b *= a.sum() / b.sum()
+        got = _matrix_minimum(a, b, C)
+        assert list(got.items()) == list(stable_matrix_minimum(a, b, C).items())
+
+    @pytest.mark.parametrize(
+        "shape, kinds",
+        [((1, _STABLE_SORT_CELLS - 1), ["stable"]), ((8, 8), ["stable"]),
+         ((1, _STABLE_SORT_CELLS), [None]), ((30, 40), [None])],
+    )
+    def test_one_sort_per_start_on_distinct_costs(self, monkeypatch, shape, kinds):
+        # Below the size rule one stable sort; from it on one default sort
+        # whose tie check finds nothing.
+        seen, argsort = [], np.argsort
+
+        def spy(C, axis=-1, kind=None):
+            seen.append(kind)
+            return argsort(C, axis=axis, kind=kind)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        n, m = shape
+        C = uniform_open(stream(44, n * m), shape)
+        _matrix_minimum(np.full(n, 1.0 / n), np.full(m, 1.0 / m), C)
+        assert seen == kinds
 
     def test_zero_cost_permutation_is_the_first_basis(self):
         # Uniform masses, cost 0 on a permuted diagonal and positive elsewhere:
