@@ -353,11 +353,9 @@ class TestOutDirectory:
 def test_undecodable_input_exits_2(tmp_path, hand_instance, capsys, option):
     ev, tr = hand_instance
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"\xff\xfe" + (tmp_path / "eval.csv").read_bytes())
-    argv = {"--eval": ev, "--train": tr, "--config": None}
-    argv[option] = str(bad)
-    argv = ["weights", *[tok for opt, val in argv.items() if val for tok in (opt, val)]]
-    assert main(argv) == 2
+    bad.write_bytes(b"\xff\xfe" + Path(ev).read_bytes())
+    paths = {"--eval": ev, "--train": tr, option: str(bad)}
+    assert main(["weights", *(tok for pair in paths.items() for tok in pair)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read") and str(bad) in err
 

@@ -48,15 +48,10 @@ SCRIPT = textwrap.dedent(
 
 
 def test_brute_path_pipeline_loads_no_scipy(tmp_path):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
-                                                                    os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env,
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ok"]
 
-
-def test_src_imports_no_scipy_at_module_level():
-    for path in sorted((SRC / "wknn").glob("*.py")):
-        for line in path.read_text().splitlines():
-            assert not line.startswith(("import scipy", "from scipy")), f"{path.name}: {line}"
