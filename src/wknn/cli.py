@@ -24,6 +24,7 @@ from .core import (
     Norm,
     NumericalError,
     Sample,
+    _check_int,
     _write_lines,
     _write_table,
     read_sample_csv,
@@ -284,7 +285,7 @@ def _cmd_rate_exp(args) -> int:
     norm = Norm.parse(args.norm)
     seed = _resolved_seed(args)
     out = _require_out(args)
-    reps = 200 if args.reps is None else int(args.reps)
+    reps = 200 if args.reps is None else args.reps
     overrides = {} if args.scorr is None else {"s_corr": args.scorr}
     scenario = builtin_scenario(args.scenario, overrides)
     rule = _parse_k_rule(args.k_rule)
@@ -314,7 +315,7 @@ def _cmd_qi_exp(args) -> int:
     norm = Norm.parse(args.norm)
     seed = _resolved_seed(args)
     out = _require_out(args)
-    reps = 500 if args.reps is None else int(args.reps)
+    reps = 500 if args.reps is None else args.reps
     scenario = builtin_scenario(args.scenario)
     result = qi_experiment(
         scenario,
@@ -339,7 +340,7 @@ def _cmd_atom_demo(args) -> int:
     norm = Norm.parse(args.norm)
     seed = _resolved_seed(args)
     out = _require_out(args)
-    reps = 200 if args.reps is None else int(args.reps)
+    reps = 200 if args.reps is None else args.reps
     result = atom_consistency_experiment(
         _parse_grid(args.m_grid, int, "integer"),
         reps,
@@ -420,8 +421,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             # argparse has printed usage or help: 2 for a usage error, 0 for --help.
             return int(exc.code or 0)
-        if getattr(args, "threads", 1) < 1:
-            raise InvalidInputError(f"--threads must be at least 1, got {args.threads}")
+        _check_int(getattr(args, "threads", 1), "--threads")
         return _HANDLERS[args.command](args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,6 +76,34 @@ def _check_q(q: float) -> float:
     return q
 
 
+def _check_int(value, name: str, low: int = 1, high=None) -> int:
+    """``value`` as an int; it must equal a whole number in [low, high].
+
+    Integral floats (2.0) and numpy integers pass; 1.5, NaN, infinities and
+    strings raise InvalidInputError naming the argument.
+    """
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < low or (high is not None and whole > high):
+        rule = (f"satisfy {low} <= {name} <= {high}" if high is not None
+                else "be a positive integer" if low == 1 else f"be an integer >= {low}")
+        raise InvalidInputError(f"{name} must {rule}, got {value!r}")
+    return whole
+
+
+def _check_dims(d_a: int, d_b: int) -> None:
+    """InvalidInputError unless the two dimensions agree."""
+    if d_a != d_b:
+        raise InvalidInputError(f"dimension mismatch: {d_a} vs {d_b}")
+
+
+def _as_sample(points) -> Sample:
+    """``points`` itself when it is a Sample, else a checked copy of it."""
+    return points if isinstance(points, Sample) else Sample(points)
+
+
 class Norm(Enum):
     """Norm on R^d used for all distances. L2 is the default."""
 
@@ -121,17 +149,6 @@ def as_point(coords) -> Point:
     return arr
 
 
-def _as_points_array(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise InvalidInputError("a sample must be a nonempty (n, d) array of coordinates")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("sample coordinates must be finite")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Sample:
     """Ordered collection of points sharing one dimension.
@@ -142,7 +159,14 @@ class Sample:
     points: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, points=_as_points_array(self.points).copy())
+        arr = np.asarray(self.points, dtype=np.float64)
+        if arr.ndim == 1:
+            arr = arr.reshape(-1, 1)
+        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
+            raise InvalidInputError("a sample must be a nonempty (n, d) array of coordinates")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInputError("sample coordinates must be finite")
+        _freeze(self, points=arr.copy())
 
     @property
     def size(self) -> int:
@@ -167,8 +191,7 @@ class LabeledSample:
     outputs: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.inputs, Sample):
-            _freeze(self, inputs=Sample(self.inputs))
+        _freeze(self, inputs=_as_sample(self.inputs))
         out = np.asarray(self.outputs, dtype=np.float64)
         if out.ndim == 1:
             out = out.reshape(-1, 1)
@@ -199,8 +222,7 @@ class DiscreteMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.points, Sample):
-            _freeze(self, points=Sample(self.points))
+        _freeze(self, points=_as_sample(self.points))
         masses = np.asarray(self.masses, dtype=np.float64).ravel()
         if masses.size == 0:
             raise InvalidInputError("a measure needs a nonempty support")
@@ -233,6 +255,7 @@ def validate_measure(points, masses) -> DiscreteMeasure:
 
 def uniform_empirical(sample: Sample) -> DiscreteMeasure:
     """Empirical measure of a sample: mass 1/n on every point."""
+    sample = _as_sample(sample)
     return DiscreteMeasure(sample, np.full(sample.size, 1.0 / sample.size))
 
 
@@ -254,21 +277,15 @@ def distance(a, b, norm: Norm = DEFAULT_NORM) -> float:
     """Norm distance between two points of equal dimension."""
     pa = as_point(a)
     pb = as_point(b)
-    if pa.shape != pb.shape:
-        raise InvalidInputError(
-            f"dimension mismatch: {pa.shape[0]} vs {pb.shape[0]}"
-        )
+    _check_dims(pa.shape[0], pb.shape[0])
     return float(_reduce_norm(pa - pb, norm))
 
 
 def pairwise_distances(a, b, norm: Norm = DEFAULT_NORM) -> np.ndarray:
     """Dense (n, m) matrix of norm distances between two point sets."""
-    pa = a.points if isinstance(a, Sample) else _as_points_array(a)
-    pb = b.points if isinstance(b, Sample) else _as_points_array(b)
-    if pa.shape[1] != pb.shape[1]:
-        raise InvalidInputError(
-            f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}"
-        )
+    pa = _as_sample(a).points
+    pb = _as_sample(b).points
+    _check_dims(pa.shape[1], pb.shape[1])
     return _reduce_norm(pa[:, None, :] - pb[None, :, :], norm)
 
 

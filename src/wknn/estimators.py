@@ -35,6 +35,11 @@ class Observable:
     fn: Callable[[np.ndarray], np.ndarray]
     sup_bound: Optional[float] = None
 
+    def __post_init__(self):
+        # A NaN bound would pass every value, a negative one none.
+        if self.sup_bound is not None and not self.sup_bound >= 0.0:
+            raise InvalidInputError(f"sup_bound must be nonnegative, got {self.sup_bound!r}")
+
     def __call__(self, outputs: np.ndarray) -> np.ndarray:
         out = np.asarray(outputs, dtype=np.float64)
         if out.ndim == 1:

@@ -24,11 +24,12 @@ from .core import (
     Norm,
     NumericalError,
     Sample,
+    _check_int,
     _write_table,
     uniform_empirical,
 )
 from .estimators import Model, Observable, knn_regress, qi_hat
-from .knn import _check_k, neighbor_table
+from .knn import neighbor_table
 from .ot import exact_wq, knn_transport_cost
 from .rng import _mean_stderr, indexed_map, standard_normal, stream, uniform_open
 from .weights import knn_weights, weighted_measure
@@ -219,10 +220,9 @@ def _build_identity_1d_uniform(p: dict) -> Scenario:
 
 
 def _build_gauss_gauss(p: dict) -> Scenario:
-    d, sigma, sigma_prime = _real(p, "d"), _real(p, "sigma"), _real(p, "sigma_prime")
-    if not (d >= 1.0 and d.is_integer() and sigma > 0.0 and sigma_prime > 0.0):
-        raise InvalidInputError("gauss_gauss needs an integer d >= 1 and positive scales")
-    d = int(d)
+    d, sigma, sigma_prime = _check_int(p["d"], "d"), _real(p, "sigma"), _real(p, "sigma_prime")
+    if not (sigma > 0.0 and sigma_prime > 0.0):
+        raise InvalidInputError("gauss_gauss needs positive scales")
 
     def x_sampler(gen, size):
         return sigma * standard_normal(gen, (size, d))
@@ -347,16 +347,14 @@ class KRule:
 
     def __call__(self, m: int) -> int:
         try:
-            k = int(self.fn(m))
+            k = self.fn(m)
         except (OverflowError, ValueError) as exc:
             raise InvalidInputError(f"k rule {self.name} gave no finite k for m={m}") from exc
-        if not 1 <= k <= m:
-            raise InvalidInputError(f"k rule {self.name} gave k={k} for m={m}")
-        return k
+        return _check_int(k, "k", 1, m)
 
 
 def const_k(k: int) -> KRule:
-    k = int(k)
+    k = _check_int(k, "k")
     return KRule(name=f"const:{k}", fn=lambda m: k)
 
 
@@ -390,13 +388,13 @@ class AtomExperimentResult:
 
 
 def _check_m_grid(m_grid: Sequence[int]) -> list[int]:
-    ms = [int(m) for m in m_grid]
-    if not ms or ms[0] < 1 or any(b <= a for a, b in zip(ms, ms[1:])):
-        raise InvalidInputError("m_grid must be nonempty, positive and strictly increasing")
+    ms = [_check_int(m, "m") for m in m_grid]
+    if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
+        raise InvalidInputError("m_grid must be nonempty and strictly increasing")
     return ms
 
 
-def _run_grid(points, cell, n, replications, base_seed):
+def _run_grid(points, cell, replications, base_seed):
     """The one Monte Carlo loop: grid point -> replications -> records -> summaries.
 
     ``cell(point)`` returns one record label tuple (scenario, m, n, k, q,
@@ -405,8 +403,7 @@ def _run_grid(points, cell, n, replications, base_seed):
     across its records; each column gets one summary row per point, keyed
     by the point.
     """
-    if replications < 1 or n < 1:
-        raise InvalidInputError("replications and n must be positive")
+    replications = _check_int(replications, "replications")
     if len(points) == 0:
         raise InvalidInputError("the grid must not be empty")
     records = []
@@ -489,6 +486,7 @@ def wasserstein_rate_experiment(
     against the exact LP value.
     """
     m_grid = _check_m_grid(m_grid)
+    n = _check_int(n, "n")
     s_corr = scenario.params.get("s_corr")
 
     def cell(m):
@@ -506,7 +504,7 @@ def wasserstein_rate_experiment(
 
         return [(scenario.name, m, n, k, float(q), s_corr)], worker
 
-    records, (summary,) = _run_grid(m_grid, cell, n, replications, base_seed)
+    records, (summary,) = _run_grid(m_grid, cell, replications, base_seed)
     fit = fit_loglog([(row.key, row.mean) for row in summary]) if len(m_grid) >= 2 else None
     statistic = "closed_form_1nn" if all(r.k == 1 for r in records) else "knn_bound"
     if certify:
@@ -530,13 +528,15 @@ def qi_experiment(
     if scenario.qi is None:
         raise InvalidInputError("qi_experiment needs a scenario with an analytic QI")
     (m,) = _check_m_grid([m])
+    n = _check_int(n, "n")
+    k = _check_int(k, "k", 1, m)
 
     def cell(s):
         s = float(s)
         scn = scenario if scenario.params.get("s_corr") == s else scenario.with_params(s_corr=s)
         return [(scn.name, m, n, k, 2.0, s)], _squared_qi_error(scn, base_seed, n, m, k, norm)
 
-    records, (summary,) = _run_grid(s_corr_grid, cell, n, replications, base_seed)
+    records, (summary,) = _run_grid(s_corr_grid, cell, replications, base_seed)
     return QiExperimentResult(records, summary)
 
 
@@ -559,6 +559,7 @@ def atom_consistency_experiment(
     if scn.qi is None:
         raise InvalidInputError("atom experiment needs a scenario with an analytic QI")
     m_grid = _check_m_grid(m_grid)
+    n = _check_int(n, "n")
     s_corr = scn.params.get("s_corr")
 
     def cell(m):
@@ -577,7 +578,7 @@ def atom_consistency_experiment(
         labels = [(scn.name, m, n, 1, 1.0, s_corr), (scn.name, m, n, k_big, 1.0, s_corr)]
         return labels, worker
 
-    records, (summary_1nn, summary_sqrt) = _run_grid(m_grid, cell, n, replications, base_seed)
+    records, (summary_1nn, summary_sqrt) = _run_grid(m_grid, cell, replications, base_seed)
     return AtomExperimentResult(records, summary_1nn, summary_sqrt)
 
 
@@ -601,6 +602,7 @@ def noisy_rate_experiment(
     if scenario.qi is None:
         raise InvalidInputError("noisy_rate_experiment needs an analytic QI")
     m_grid = _check_m_grid(m_grid)
+    n = _check_int(n, "n")
     rule = k_rule if k_rule is not None else power_k(2.0 / (scenario.d + 2.0))
     s_corr = scenario.params.get("s_corr")
 
@@ -609,7 +611,7 @@ def noisy_rate_experiment(
         labels = [(scenario.name, m, n, k, 2.0, s_corr)]
         return labels, _squared_qi_error(scenario, base_seed, n, m, k, norm)
 
-    records, (summary,) = _run_grid(m_grid, cell, n, replications, base_seed)
+    records, (summary,) = _run_grid(m_grid, cell, replications, base_seed)
     fit = fit_loglog([(row.key, math.sqrt(row.mean)) for row in summary])
     return QiExperimentResult(records, summary), fit
 
@@ -633,9 +635,9 @@ def generalization_error_mc(
     Returns (mean squared error, standard error of the mean): the summary
     of a one-point grid.
     """
-    if m <= 0 or n_test <= 0:
-        raise InvalidInputError("m and n_test must be positive")
-    k = _check_k(k, m)
+    m = _check_int(m, "m")
+    n_test = _check_int(n_test, "n_test")
+    k = _check_int(k, "k", 1, m)
 
     def worker(rep):
         gen = stream(seed, rep)
@@ -647,7 +649,7 @@ def generalization_error_mc(
         return (float(np.dot(diff, diff)),)
 
     labels = [("generalization_error", m, 1, k, 2.0, None)]
-    _, ((row,),) = _run_grid([m], lambda _: (labels, worker), 1, n_test, seed)
+    _, ((row,),) = _run_grid([m], lambda _: (labels, worker), n_test, seed)
     return row.mean, row.stderr
 
 

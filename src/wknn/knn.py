@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DEFAULT_NORM, InvalidInputError, Norm, NumericalError, Sample, as_point
-from .core import _freeze, _reduce_norm, _trusted
+from .core import _as_sample, _check_dims, _check_int, _freeze, _reduce_norm, _trusted
 
 __all__ = ["NeighborTable", "knn_query", "neighbor_table", "KnnIndex"]
 
@@ -78,8 +78,9 @@ class NeighborTable:
         dist = np.asarray(distances, dtype=np.float64)
         if idx.ndim != 2 or idx.shape != dist.shape:
             raise InvalidInputError("indices and distances must be matching (n, k) arrays")
-        if k <= 0 or idx.shape[1] != k:
-            raise InvalidInputError("k must be positive and match the table width")
+        k = _check_int(k, "k")
+        if idx.shape[1] != k:
+            raise InvalidInputError(f"k={k} does not match the table width {idx.shape[1]}")
         if idx.shape[0] == 0:
             raise InvalidInputError("a neighbor table needs at least one row")
         if np.any(np.diff(dist, axis=1) < 0):
@@ -123,6 +124,7 @@ class NeighborTable:
         counts each distinct row's k indices once, weighted by how often the
         row repeats. Raises InvalidInputError if an index is not below m.
         """
+        m = _check_int(m, "m")
         if np.any(self._idx >= m):
             raise InvalidInputError("neighbor index out of range for m training points")
         if self._row_of is None:
@@ -131,18 +133,6 @@ class NeighborTable:
         # Float64 sums of integers stay exact below 2**53, far above n*k.
         counts = np.bincount(self._idx.ravel(), weights=np.repeat(repeats, self.k), minlength=m)
         return counts.astype(np.int64)
-
-
-def _check_k(k: int, m: int) -> int:
-    k = int(k)
-    if not 1 <= k <= m:
-        raise InvalidInputError(f"k must satisfy 1 <= k <= {m}, got {k}")
-    return k
-
-
-def _check_dims(d_query: int, d_train: int) -> None:
-    if d_query != d_train:
-        raise InvalidInputError(f"dimension mismatch: {d_query} vs {d_train}")
 
 
 def _check_finite_kth(kth: np.ndarray) -> None:
@@ -198,8 +188,9 @@ def knn_query(query, train: Sample, k: int, norm: Norm = DEFAULT_NORM):
     deterministic. This is the brute-force reference implementation.
     """
     q = as_point(query)
+    train = _as_sample(train)
     _check_dims(q.shape[0], train.dim)
-    k = _check_k(k, train.size)
+    k = _check_int(k, "k", 1, train.size)
     dist = _reduce_norm(q[None, :] - train.points, norm)
     order = np.argsort(dist, kind="stable")[:k].astype(np.int64)
     return order, dist[order]
@@ -215,9 +206,7 @@ class KnnIndex:
     """
 
     def __init__(self, train: Sample, norm: Norm = DEFAULT_NORM):
-        if not isinstance(train, Sample):
-            train = Sample(train)
-        self._train = train.points
+        self._train = _as_sample(train).points
         self._norm = norm
         self._p = norm.p
         from scipy.spatial import cKDTree
@@ -238,7 +227,7 @@ class KnnIndex:
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         _check_dims(pts.shape[1], self._train.shape[1])
-        k = _check_k(k, self._train.shape[0])
+        k = _check_int(k, "k", 1, self._train.shape[0])
         if not np.isfinite(pts).all():
             raise InvalidInputError("query coordinates must be finite")
         kq = k + 1
@@ -254,12 +243,11 @@ class KnnIndex:
         idx = i0[:, :k].astype(np.int64)
 
         # A row needs the exact tie-resolution pass when the boundary gap
-        # or any internal gap falls inside the tie window, or when the
-        # recomputed distances are not strictly increasing.
+        # falls inside the tie window, or when the recomputed distances are
+        # not strictly increasing; otherwise they fix the brute force's order.
         tol = _TIE_RTOL * (1.0 + d0[:, k - 1])
         risky = (d0[:, k] - d0[:, k - 1]) <= tol
         if k > 1:
-            risky |= np.any(np.diff(d0[:, :k], axis=1) <= tol[:, None], axis=1)
             risky |= np.any(np.diff(dist, axis=1) <= 0.0, axis=1)
         for row in np.flatnonzero(risky):
             idx[row], dist[row] = self._query_exact(pts[row], k, float(d0[row, k - 1]))
@@ -299,12 +287,10 @@ def neighbor_table(
     distinct row (see ``NeighborTable``). Raises NumericalError when a
     neighbor distance overflows float64.
     """
-    if not isinstance(eval_sample, Sample):
-        eval_sample = Sample(eval_sample)
-    if not isinstance(train, Sample):
-        train = Sample(train)
+    eval_sample = _as_sample(eval_sample)
+    train = _as_sample(train)
     _check_dims(eval_sample.dim, train.dim)
-    k = _check_k(k, train.size)
+    k = _check_int(k, "k", 1, train.size)
     row_of = None
     if (eval_sample.size >= _INDEX_MIN_ROWS and train.size >= _INDEX_THRESHOLD
             and 2 * k < train.size):

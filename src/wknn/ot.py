@@ -47,7 +47,9 @@ from .core import (
     Norm,
     NumericalError,
     Sample,
+    _check_dims,
     _check_q,
+    _trusted,
     pairwise_distances,
 )
 from .knn import NeighborTable, neighbor_table
@@ -387,10 +389,7 @@ def exact_wq(
     if a cost overflows or optimality cannot be certified.
     """
     q = _check_q(q)
-    if source.points.dim != target.points.dim:
-        raise InvalidInputError(
-            f"dimension mismatch: {source.points.dim} vs {target.points.dim}"
-        )
+    _check_dims(source.points.dim, target.points.dim)
     sa = float(np.sum(source.masses))
     sb = float(np.sum(target.masses))
     if abs(sa - sb) > _FEAS_TOL:
@@ -404,8 +403,9 @@ def exact_wq(
     # cell closes both its row and its column.
     b = b * (float(np.sum(a)) / float(np.sum(b)))
 
-    pa = source.points.points[keep_a]
-    pb = target.points.points[keep_b]
+    # The kept rows of checked samples: no second check or copy.
+    pa = _trusted(Sample, points=source.points.points[keep_a])
+    pb = _trusted(Sample, points=target.points.points[keep_b])
     with np.errstate(over="ignore"):  # reported by the check below
         C = pairwise_distances(pa, pb, norm) ** q
     if not np.isfinite(C).all():

@@ -17,20 +17,20 @@ import math
 
 import numpy as np
 
-from .core import InvalidInputError
+from .core import _check_int
 
 __all__ = ["stream", "uniform_open", "standard_normal", "indexed_map"]
 
 _DENOM = float(1 << 53)
 
+# Largest seed or stream id: Philox takes two 64-bit key words.
+_MAX_KEY = (1 << 64) - 1
+
 
 def stream(seed: int, stream_id: int) -> np.random.Generator:
     """Independent generator for (seed, stream_id); stream id = replication index."""
-    seed = int(seed)
-    stream_id = int(stream_id)
-    if not (0 <= seed < 1 << 64 and 0 <= stream_id < 1 << 64):
-        raise InvalidInputError("seed and stream id must be integers in [0, 2**64)")
-    key = np.array([seed, stream_id], dtype=np.uint64)
+    key = np.array([_check_int(seed, "seed", 0, _MAX_KEY),
+                    _check_int(stream_id, "stream_id", 0, _MAX_KEY)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -51,9 +51,7 @@ def indexed_map(fn, count: int, threads: int = 1) -> list:
 
     ``threads`` is accepted and has no effect: a thread pool measured slower.
     """
-    if count < 0:
-        raise InvalidInputError("count must be nonnegative")
-    return [fn(i) for i in range(count)]
+    return [fn(i) for i in range(_check_int(count, "count", 0))]
 
 
 def _mean_stderr(values) -> tuple[float, float]:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DEFAULT_NORM, InvalidInputError, Norm, NumericalError, _check_q
+from .core import DEFAULT_NORM, InvalidInputError, Norm, NumericalError, _check_int, _check_q
 from .rng import _mean_stderr, stream
 
 __all__ = [
@@ -50,17 +50,9 @@ def _finite(what: str, compute: Callable[[], float]) -> float:
     return value
 
 
-def _check_d(d: int) -> int:
-    """Dimension d as an int; it must be at least 1."""
-    d = int(d)
-    if d < 1:
-        raise InvalidInputError("d must be a positive integer")
-    return d
-
-
 def unit_ball_volume(d: int, norm: Norm = DEFAULT_NORM) -> float:
     """Volume of the unit ball of R^d for the given norm."""
-    d = _check_d(d)
+    d = _check_int(d, "d")
     what = f"unit ball volume in dimension {d}"
     if norm is Norm.L2:
         return _finite(what, lambda: math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0))
@@ -74,7 +66,7 @@ def rate_constant(
 ) -> RateConstant:
     """Constant Gamma(1+q/d)/v_d^{q/d} * moment, homogeneous in the moment."""
     q = _check_q(q)
-    d = _check_d(d)
+    d = _check_int(d, "d")
     moment = float(inv_density_moment)
     if moment <= 0.0:
         raise InvalidInputError("inv_density_moment must be positive")
@@ -90,12 +82,10 @@ def cdq(q: float, d: int, k_limit) -> float:
     k -> infinity: 2^{q/d+1} / (q/d + 1).
     """
     q = _check_q(q)
-    alpha = q / _check_d(d)
+    alpha = q / _check_int(d, "d")
     if k_limit is None or k_limit == math.inf:
         return _finite("cdq", lambda: 2.0 ** (alpha + 1.0) / (alpha + 1.0))
-    k = int(k_limit)
-    if k < 1:
-        raise InvalidInputError("k_limit must be a positive integer or infinity")
+    k = _check_int(k_limit, "k_limit")
     grid = np.arange(1, k + 1, dtype=np.float64) / k
     return _finite("cdq", lambda: 2.0 ** (alpha + 1.0) / k * np.sum(grid**alpha))
 
@@ -107,7 +97,7 @@ def gaussian_moment_check(sigma: float, sigma_prime: float, q: float, d: int) ->
     if sigma <= 0.0 or sigma_prime <= 0.0:
         raise InvalidInputError("scales must be positive")
     q = _check_q(q)
-    d = _check_d(d)
+    d = _check_int(d, "d")
     lhs = _finite("sigma'^2", lambda: sigma_prime**2)
     return lhs > _finite("sigma^2 q/d", lambda: sigma**2 * q / d)
 
@@ -115,7 +105,7 @@ def gaussian_moment_check(sigma: float, sigma_prime: float, q: float, d: int) ->
 def zador_exponent(q: float, d: int) -> float:
     """Exponent d/(q+d): the variance-minimizing synthetic density is p_X^{d/(q+d)}."""
     q = _check_q(q)
-    d = _check_d(d)
+    d = _check_int(d, "d")
     return d / (q + d)
 
 
@@ -133,9 +123,8 @@ def inv_density_moment(
     the density must be positive on the support of X.
     """
     q = _check_q(q)
-    d = _check_d(d)
-    if n_draws < 1:
-        raise InvalidInputError("n_draws must be positive")
+    d = _check_int(d, "d")
+    n_draws = _check_int(n_draws, "n_draws")
     gen = stream(seed, 0)
     x = np.asarray(x_sampler(gen, n_draws), dtype=np.float64)
     if x.ndim == 1:

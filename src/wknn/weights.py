@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteMeasure, InvalidInputError, Sample, _freeze, _trusted
+from .core import DiscreteMeasure, InvalidInputError, Sample
+from .core import _as_sample, _check_int, _freeze, _trusted
 from .knn import NeighborTable
 
 __all__ = ["WeightVector", "knn_weights", "weighted_measure"]
@@ -33,19 +34,18 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
+        k, n, m = (_check_int(getattr(self, name), name) for name in ("k", "n", "m"))
         counts = np.asarray(self.counts, dtype=np.int64)
         w = np.asarray(self.w, dtype=np.float64)
-        if self.k <= 0 or self.n <= 0 or self.m <= 0:
-            raise InvalidInputError("k, n, m must be positive")
-        if counts.shape != (self.m,) or w.shape != (self.m,):
+        if counts.shape != (m,) or w.shape != (m,):
             raise InvalidInputError("counts and w must be length-m vectors")
         if np.any(counts < 0):
             raise InvalidInputError("counts must be nonnegative")
-        if int(counts.sum()) != self.k * self.n:
+        if int(counts.sum()) != k * n:
             raise InvalidInputError("counts must sum to k*n")
-        if not np.allclose(w, counts * (self.m / (self.k * self.n)), rtol=1e-12, atol=0.0):
+        if not np.allclose(w, counts * (m / (k * n)), rtol=1e-12, atol=0.0):
             raise InvalidInputError("w must equal counts * m/(k*n) within 1e-12 (relative)")
-        _freeze(self, counts=counts.copy(), w=w.copy())
+        _freeze(self, k=k, n=n, m=m, counts=counts.copy(), w=w.copy())
 
 
 def knn_weights(table: NeighborTable, m: int) -> WeightVector:
@@ -55,9 +55,7 @@ def knn_weights(table: NeighborTable, m: int) -> WeightVector:
     come from ``NeighborTable.selection_counts``, so a table with repeated
     rows is counted once per distinct row and never expanded to (n, k).
     """
-    m = int(m)
-    if m <= 0:
-        raise InvalidInputError("m must be positive")
+    m = _check_int(m, "m")
     counts = table.selection_counts(m)
     n = table.n
     w = counts * (m / (table.k * n))
@@ -66,8 +64,7 @@ def knn_weights(table: NeighborTable, m: int) -> WeightVector:
 
 def weighted_measure(train: Sample, wv: WeightVector) -> DiscreteMeasure:
     """Weighted empirical measure of the training sample: mass w_j / m on point j."""
-    if not isinstance(train, Sample):
-        train = Sample(train)
+    train = _as_sample(train)
     if wv.m != train.size:
         raise InvalidInputError(
             f"weight vector is for m={wv.m} points but the sample has {train.size}"

@@ -123,6 +123,16 @@ class TestValidateMeasure:
         m = uniform_empirical(Sample([[0.0], [1.0], [2.0], [3.0]]))
         assert np.allclose(m.masses, 0.25)
 
+    @pytest.mark.parametrize(
+        "points", [[0.0, 1.0, 2.0], np.arange(6.0).reshape(3, 2)], ids=["list", "array_3x2"]
+    )
+    def test_uniform_empirical_coerces_like_sample(self, points):
+        m = uniform_empirical(points)
+        ref = uniform_empirical(Sample(points))
+        np.testing.assert_array_equal(m.points.points, ref.points.points)
+        np.testing.assert_array_equal(m.masses, ref.masses)
+        assert m.masses.tolist() == [1.0 / 3.0] * 3
+
 
 class TestCsvRoundTrip:
     def test_sample_round_trip(self, tmp_path):

@@ -61,6 +61,13 @@ class TestQiHat:
             qi_hat(hand_weight_vector(), np.array([3.0, 6.0]), phi)
 
 
+    @pytest.mark.parametrize("bound", [math.nan, -1.0])
+    def test_nan_or_negative_sup_bound_rejected(self, bound):
+        # A NaN bound let every value through; a negative one failed every call.
+        with pytest.raises(InvalidInputError, match="sup_bound"):
+            Observable(fn=lambda y: y[:, 0], sup_bound=bound)
+
+
 class TestQiTilde:
     def test_constant_psi(self):
         wv = hand_weight_vector()

@@ -38,6 +38,14 @@ class TestKnnQuery:
             np.testing.assert_array_equal(idx, oi)
             np.testing.assert_allclose(dist, od, rtol=1e-12)
 
+    def test_list_training_sample_coerced(self):
+        points = [[0.0, 1.0], [2.0, 0.5], [0.3, 0.3]]
+        idx, dist = knn_query([0.0, 0.0], points, 2)
+        ref_idx, ref_dist = knn_query([0.0, 0.0], Sample(points), 2)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(dist, ref_dist)
+        assert idx.tolist() == [2, 0]
+
     def test_k_out_of_range(self):
         with pytest.raises(InvalidInputError):
             knn_query([0.0], Sample([0.0, 1.0]), 3)
