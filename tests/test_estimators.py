@@ -60,10 +60,9 @@ class TestQiHat:
         with pytest.raises(InvalidInputError):
             qi_hat(hand_weight_vector(), np.array([3.0, 6.0]), phi)
 
-
     @pytest.mark.parametrize("bound", [math.nan, -1.0])
     def test_nan_or_negative_sup_bound_rejected(self, bound):
-        # A NaN bound let every value through; a negative one failed every call.
+        # A NaN bound would pass every value, a negative one would fail every call.
         with pytest.raises(InvalidInputError, match="sup_bound"):
             Observable(fn=lambda y: y[:, 0], sup_bound=bound)
 
