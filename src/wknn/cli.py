@@ -53,6 +53,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
+# Replications per run when --reps is not given.
+_DEFAULT_REPS = {"rate-exp": 200, "qi-exp": 500, "atom-demo": 200}
+
 
 def _parse_grid(text: str, kind: type, name: str) -> list:
     try:
@@ -77,20 +80,22 @@ def _parse_k_rule(text: str) -> KRule:
     raise InvalidInputError(f"bad k rule {text!r}; expected const:K or power:ALPHA")
 
 
-def _inputs_of(data) -> Sample:
-    return data.inputs if isinstance(data, LabeledSample) else data
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="wknn",
         description="Nearest-neighbor reweighting, exact transport checks and rate experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, seed=False, threads=False, out=False) -> None:
+    def common(p: argparse.ArgumentParser, *, pair=False, seed=False, threads=False,
+               out=False) -> None:
         p.add_argument("--config", default=None, help="key=value config file; flags override")
         p.add_argument("--norm", default="l2", choices=["l1", "l2", "linf"])
+        if pair:
+            p.add_argument("--eval", help="evaluation sample CSV (required)")
+            p.add_argument("--train", help="training sample CSV (required)")
+            p.add_argument("--k", type=int, default=1)
         if seed:
             p.add_argument("--seed", type=int, default=None, help="default: $WKNN_SEED or 0")
         if threads:
@@ -99,16 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, help="output directory (required)")
 
     p_weights = sub.add_parser("weights", help="k-NN weight vector from two sample CSVs")
-    common(p_weights)
-    p_weights.add_argument("--eval", dest="eval_csv", required=True)
-    p_weights.add_argument("--train", dest="train_csv", required=True)
-    p_weights.add_argument("--k", type=int, default=1)
+    common(p_weights, pair=True)
 
     p_dist = sub.add_parser("distance", help="transport cost between two sample CSVs")
-    common(p_dist)
-    p_dist.add_argument("--eval", dest="eval_csv", required=True)
-    p_dist.add_argument("--train", dest="train_csv", required=True)
-    p_dist.add_argument("--k", type=int, default=1)
+    common(p_dist, pair=True)
     p_dist.add_argument("--q", type=float, default=2.0)
     p_dist.add_argument("--exact", action="store_true", help="solve and certify the exact LP")
 
@@ -151,14 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--q", type=float, default=2.0)
     p_const.add_argument("--draws", type=int, default=10000)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+def _apply_config(parser: argparse.ArgumentParser, commands: dict, argv: list[str]):
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         values = _read_config(Path(args.config))
-        sub = _subparser_for(parser, args.command)
+        sub = commands[args.command]
         dests = {a.dest: a for a in sub._actions}
         defaults = {}
         for raw_key, raw_val in values.items():
@@ -188,13 +187,6 @@ def _read_config(path: Path) -> dict:
     return values
 
 
-def _subparser_for(parser, command):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise RuntimeError("no subparsers registered")
-
-
 def _convert(action, raw: str):
     if isinstance(action, argparse._StoreTrueAction):
         low = raw.lower()
@@ -221,7 +213,7 @@ def _resolved_seed(args) -> int:
 
 def _require_out(args) -> Path:
     """The --out directory, checked but not created: ``_writing`` creates it."""
-    if not getattr(args, "out", None):
+    if not args.out:
         raise InvalidInputError("--out DIR is required for experiment subcommands")
     out = Path(args.out)
     for path in (out, *out.parents):
@@ -253,20 +245,27 @@ def _write_manifest(out: Path, args, extra: dict) -> None:
     _write_lines(out / "manifest.txt", [f"{key}={val}" for key, val in pairs])
 
 
-def _cmd_weights(args) -> int:
-    norm = Norm.parse(args.norm)
-    eval_sample = _inputs_of(read_sample_csv(args.eval_csv))
-    train = _inputs_of(read_sample_csv(args.train_csv))
+def _read_pair(args) -> tuple[Sample, Sample]:
+    """The --eval and --train samples; a labeled CSV gives its inputs."""
+    missing = [f"--{name}" for name in ("eval", "train") if getattr(args, name) is None]
+    if missing:
+        raise InvalidInputError(f"the following arguments are required: {', '.join(missing)}")
+    data = [read_sample_csv(args.eval), read_sample_csv(args.train)]
+    return tuple(d.inputs if isinstance(d, LabeledSample) else d for d in data)
+
+
+# Each handler takes the parsed flags and the resolved norm, seed and reps
+# (None where the subcommand has no such flag). One that prints returns
+# None; one that writes to --out returns its writer and statistic name.
+def _cmd_weights(args, norm, seed, reps) -> None:
+    eval_sample, train = _read_pair(args)
     table = neighbor_table(eval_sample, train, args.k, norm)
     wv = knn_weights(table, train.size)
     _write_table(sys.stdout, ("index", "weight"), enumerate(wv.w))
-    return EXIT_OK
 
 
-def _cmd_distance(args) -> int:
-    norm = Norm.parse(args.norm)
-    eval_sample = _inputs_of(read_sample_csv(args.eval_csv))
-    train = _inputs_of(read_sample_csv(args.train_csv))
+def _cmd_distance(args, norm, seed, reps) -> None:
+    eval_sample, train = _read_pair(args)
     if args.exact:
         table = neighbor_table(eval_sample, train, args.k, norm)
         wv = knn_weights(table, train.size)
@@ -278,115 +277,71 @@ def _cmd_distance(args) -> int:
         value = wq_knn_bound(eval_sample, train, args.k, args.q, norm)
         method = "closed_form_1nn" if args.k == 1 else "knn_bound"
     _write_table(sys.stdout, ("wq_q_power", "method"), [(value, method)])
-    return EXIT_OK
 
 
-def _cmd_rate_exp(args) -> int:
-    norm = Norm.parse(args.norm)
-    seed = _resolved_seed(args)
-    out = _require_out(args)
-    reps = 200 if args.reps is None else args.reps
+def _cmd_rate_exp(args, norm, seed, reps):
     overrides = {} if args.scorr is None else {"s_corr": args.scorr}
     scenario = builtin_scenario(args.scenario, overrides)
     rule = _parse_k_rule(args.k_rule)
     result = wasserstein_rate_experiment(
-        scenario,
-        _parse_grid(args.m_grid, int, "integer"),
-        args.n,
-        rule,
-        args.q,
-        reps,
-        seed,
-        norm=norm,
-        threads=args.threads,
-        certify=args.certify,
+        scenario, _parse_grid(args.m_grid, int, "integer"), args.n, rule, args.q, reps, seed,
+        norm=norm, threads=args.threads, certify=args.certify,
     )
-    with _writing(out):
+
+    def write(out: Path) -> None:
         write_runs_csv(out / "runs.csv", result.records)
         write_summary_csv(out / "summary.csv", result.summary, "m")
         if result.fit is not None:
             write_ratefit_csv(out / "ratefit.csv", result.fit)
-        _write_manifest(out, args, {"seed.resolved": seed, "reps.resolved": reps,
-                                    "statistic": result.statistic})
-    return EXIT_OK
+
+    return write, result.statistic
 
 
-def _cmd_qi_exp(args) -> int:
-    norm = Norm.parse(args.norm)
-    seed = _resolved_seed(args)
-    out = _require_out(args)
-    reps = 500 if args.reps is None else args.reps
+def _cmd_qi_exp(args, norm, seed, reps):
     scenario = builtin_scenario(args.scenario)
     result = qi_experiment(
-        scenario,
-        args.m,
-        args.n,
-        args.k,
-        _parse_grid(args.scorr_grid, float, "float"),
-        reps,
-        seed,
-        norm=norm,
-        threads=args.threads,
+        scenario, args.m, args.n, args.k, _parse_grid(args.scorr_grid, float, "float"), reps,
+        seed, norm=norm, threads=args.threads,
     )
-    with _writing(out):
+
+    def write(out: Path) -> None:
         write_runs_csv(out / "runs.csv", result.records)
         write_summary_csv(out / "summary.csv", result.summary, "s_corr")
-        _write_manifest(out, args, {"seed.resolved": seed, "reps.resolved": reps,
-                                    "statistic": "squared_qi_error"})
-    return EXIT_OK
+
+    return write, "squared_qi_error"
 
 
-def _cmd_atom_demo(args) -> int:
-    norm = Norm.parse(args.norm)
-    seed = _resolved_seed(args)
-    out = _require_out(args)
-    reps = 200 if args.reps is None else args.reps
+def _cmd_atom_demo(args, norm, seed, reps):
     result = atom_consistency_experiment(
-        _parse_grid(args.m_grid, int, "integer"),
-        reps,
-        seed,
-        n=args.n,
-        norm=norm,
+        _parse_grid(args.m_grid, int, "integer"), reps, seed, n=args.n, norm=norm,
         threads=args.threads,
     )
-    with _writing(out):
+
+    def write(out: Path) -> None:
         write_runs_csv(out / "runs.csv", result.records)
         write_summary_csv(out / "summary_k1.csv", result.summary_1nn, "m")
         write_summary_csv(out / "summary_ksqrt.csv", result.summary_sqrt, "m")
-        _write_manifest(out, args, {"seed.resolved": seed, "reps.resolved": reps,
-                                    "statistic": "abs_qi_error"})
-    return EXIT_OK
+
+    return write, "abs_qi_error"
 
 
-def _cmd_regress_exp(args) -> int:
-    norm = Norm.parse(args.norm)
-    seed = _resolved_seed(args)
-    out = _require_out(args)
+def _cmd_regress_exp(args, norm, seed, reps):
     scenario = builtin_scenario(args.scenario)
     if scenario.psi is None:
         raise InvalidInputError("regress-exp needs a scenario with an analytic regression function")
     mse, stderr = generalization_error_mc(
-        scenario.model,
-        scenario.x_sampler,
-        scenario.xp_sampler,
-        scenario.psi,
-        args.m,
-        args.k,
-        args.n_test,
-        norm=norm,
-        seed=seed,
+        scenario.model, scenario.x_sampler, scenario.xp_sampler, scenario.psi, args.m, args.k,
+        args.n_test, norm=norm, seed=seed,
     )
-    with _writing(out):
+
+    def write(out: Path) -> None:
         _write_table(out / "summary.csv", ("mse", "stderr", "n_test"),
                      [(mse, stderr, args.n_test)])
-        _write_manifest(out, args, {"seed.resolved": seed,
-                                    "statistic": "l2_generalization_error"})
-    return EXIT_OK
+
+    return write, "l2_generalization_error"
 
 
-def _cmd_constants(args) -> int:
-    norm = Norm.parse(args.norm)
-    seed = _resolved_seed(args)
+def _cmd_constants(args, norm, seed, reps) -> None:
     scenario = builtin_scenario(args.scenario)
     if scenario.log_density_xp is None:
         raise InvalidInputError("scenario lacks a training log-density")
@@ -399,7 +354,6 @@ def _cmd_constants(args) -> int:
     row = (scenario.name, args.q, scenario.d, const.v_d, moment, moment_se, const.value,
            cdq(args.q, scenario.d, math.inf), zador_exponent(args.q, scenario.d))
     _write_table(sys.stdout, columns, [row])
-    return EXIT_OK
 
 
 _HANDLERS = {
@@ -413,16 +367,33 @@ _HANDLERS = {
 }
 
 
+def _run(args) -> int:
+    """Resolve the shared inputs in a fixed order (--threads, norm, seed,
+    --out, reps), run the subcommand, then write its files and manifest."""
+    _check_int(getattr(args, "threads", 1), "--threads")
+    norm = Norm.parse(args.norm)
+    seed = _resolved_seed(args) if "seed" in args else None
+    out = _require_out(args) if "out" in args else None
+    reps = _DEFAULT_REPS.get(args.command) if getattr(args, "reps", None) is None else args.reps
+    result = _HANDLERS[args.command](args, norm, seed, reps)
+    if out is not None:
+        write, statistic = result
+        extra = {"seed.resolved": seed, "reps.resolved": reps, "statistic": statistic}
+        with _writing(out):
+            write(out)
+            _write_manifest(out, args, {k: v for k, v in extra.items() if v is not None})
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         try:
-            args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
+            args = _apply_config(parser, commands, list(sys.argv[1:] if argv is None else argv))
         except SystemExit as exc:
             # argparse has printed usage or help: 2 for a usage error, 0 for --help.
             return int(exc.code or 0)
-        _check_int(getattr(args, "threads", 1), "--threads")
-        return _HANDLERS[args.command](args)
+        return _run(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

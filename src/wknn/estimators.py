@@ -5,6 +5,7 @@ Carlo error, ``generalization_error_mc``, runs in ``experiments``.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,9 +37,11 @@ class Observable:
     sup_bound: Optional[float] = None
 
     def __post_init__(self):
-        # A NaN bound would pass every value, a negative one none.
-        if self.sup_bound is not None and not self.sup_bound >= 0.0:
-            raise InvalidInputError(f"sup_bound must be nonnegative, got {self.sup_bound!r}")
+        # A NaN bound would pass every value, a negative one none, and a
+        # non-numeric one would fail every call with a TypeError.
+        bound = self.sup_bound
+        if bound is not None and not (isinstance(bound, numbers.Real) and bound >= 0.0):
+            raise InvalidInputError(f"sup_bound must be a nonnegative number, got {bound!r}")
 
     def __call__(self, outputs: np.ndarray) -> np.ndarray:
         out = np.asarray(outputs, dtype=np.float64)

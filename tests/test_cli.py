@@ -253,6 +253,33 @@ class TestConfigFile:
         cfg.write_text("# a comment\n\nq = 1\n")
         assert main(["constants", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("command", ["weights", "distance"])
+    def test_eval_and_train_from_config(self, tmp_path, hand_instance, capsys, command):
+        ev, tr = hand_instance
+        assert main([command, "--eval", ev, "--train", tr, "--k", "2"]) == 0
+        expected = capsys.readouterr()
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text(f"eval = {ev}\ntrain = {tr}\nk = 2\n")
+        assert main([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == expected
+        # A flag still overrides its config key.
+        assert main([command, "--config", str(cfg), "--train", ev]) == 0
+        assert capsys.readouterr().out != expected.out
+
+    @pytest.mark.parametrize("given, missing", [("eval", "--train"), ("train", "--eval")])
+    def test_missing_pair_member_exits_2(self, tmp_path, hand_instance, capsys, given, missing):
+        ev, tr = hand_instance
+        path = {"eval": ev, "train": tr}[given]
+        cfg = tmp_path / "half.cfg"
+        cfg.write_text(f"{given} = {path}\n")
+        before = set(tmp_path.rglob("*"))
+        for argv in (["weights", f"--{given}", path], ["distance", "--config", str(cfg)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: the following arguments are required: {missing}\n"
+        assert set(tmp_path.rglob("*")) == before
+
 
 class TestInvalidFlags:
     def rate(self, out_dir, *extra):
