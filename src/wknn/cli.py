@@ -89,7 +89,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, *, pair=False, seed=False, threads=False,
-               out=False) -> None:
+               out=False, reps=False) -> None:
         p.add_argument("--config", default=None, help="key=value config file; flags override")
         p.add_argument("--norm", default="l2", choices=["l1", "l2", "linf"])
         if pair:
@@ -102,6 +102,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
             p.add_argument("--threads", type=int, default=1)
         if out:
             p.add_argument("--out", default=None, help="output directory (required)")
+        if reps:
+            p.add_argument("--reps", type=int, default=None)
 
     p_weights = sub.add_parser("weights", help="k-NN weight vector from two sample CSVs")
     common(p_weights, pair=True)
@@ -112,8 +114,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_dist.add_argument("--exact", action="store_true", help="solve and certify the exact LP")
 
     p_rate = sub.add_parser("rate-exp", help="transport-cost decay experiment")
-    common(p_rate, seed=True, threads=True, out=True)
-    p_rate.add_argument("--reps", type=int, default=None)
+    common(p_rate, seed=True, threads=True, out=True, reps=True)
     p_rate.add_argument("--certify", action="store_true")
     p_rate.add_argument("--scenario", default="diag_uniform_gauss", choices=scenario_names())
     p_rate.add_argument("--scorr", type=float, default=None)
@@ -123,8 +124,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_rate.add_argument("--q", type=float, default=2.0)
 
     p_qi = sub.add_parser("qi-exp", help="estimation-error experiment over s_corr")
-    common(p_qi, seed=True, threads=True, out=True)
-    p_qi.add_argument("--reps", type=int, default=None)
+    common(p_qi, seed=True, threads=True, out=True, reps=True)
     p_qi.add_argument("--scenario", default="diag_uniform_gauss", choices=scenario_names())
     p_qi.add_argument("--m", type=int, default=900)
     p_qi.add_argument("--n", type=int, default=900)
@@ -132,8 +132,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_qi.add_argument("--scorr-grid", default="-0.9,0,0.9")
 
     p_atom = sub.add_parser("atom-demo", help="atom inconsistency demonstration")
-    common(p_atom, seed=True, threads=True, out=True)
-    p_atom.add_argument("--reps", type=int, default=None)
+    common(p_atom, seed=True, threads=True, out=True, reps=True)
     p_atom.add_argument("--m-grid", default="100,1000,10000")
     p_atom.add_argument("--n", type=int, default=100)
 
@@ -153,7 +152,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
-def _apply_config(parser: argparse.ArgumentParser, commands: dict, argv: list[str]):
+def _apply_config(parser: argparse.ArgumentParser, commands: dict,
+                  argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         values = _read_config(Path(args.config))
@@ -284,8 +284,16 @@ def _cmd_rate_exp(args, norm, seed, reps):
     scenario = builtin_scenario(args.scenario, overrides)
     rule = _parse_k_rule(args.k_rule)
     result = wasserstein_rate_experiment(
-        scenario, _parse_grid(args.m_grid, int, "integer"), args.n, rule, args.q, reps, seed,
-        norm=norm, threads=args.threads, certify=args.certify,
+        scenario,
+        _parse_grid(args.m_grid, int, "integer"),
+        args.n,
+        rule,
+        args.q,
+        reps,
+        seed,
+        norm=norm,
+        threads=args.threads,
+        certify=args.certify,
     )
 
     def write(out: Path) -> None:
@@ -300,8 +308,15 @@ def _cmd_rate_exp(args, norm, seed, reps):
 def _cmd_qi_exp(args, norm, seed, reps):
     scenario = builtin_scenario(args.scenario)
     result = qi_experiment(
-        scenario, args.m, args.n, args.k, _parse_grid(args.scorr_grid, float, "float"), reps,
-        seed, norm=norm, threads=args.threads,
+        scenario,
+        args.m,
+        args.n,
+        args.k,
+        _parse_grid(args.scorr_grid, float, "float"),
+        reps,
+        seed,
+        norm=norm,
+        threads=args.threads,
     )
 
     def write(out: Path) -> None:
@@ -313,7 +328,11 @@ def _cmd_qi_exp(args, norm, seed, reps):
 
 def _cmd_atom_demo(args, norm, seed, reps):
     result = atom_consistency_experiment(
-        _parse_grid(args.m_grid, int, "integer"), reps, seed, n=args.n, norm=norm,
+        _parse_grid(args.m_grid, int, "integer"),
+        reps,
+        seed,
+        n=args.n,
+        norm=norm,
         threads=args.threads,
     )
 
@@ -330,8 +349,15 @@ def _cmd_regress_exp(args, norm, seed, reps):
     if scenario.psi is None:
         raise InvalidInputError("regress-exp needs a scenario with an analytic regression function")
     mse, stderr = generalization_error_mc(
-        scenario.model, scenario.x_sampler, scenario.xp_sampler, scenario.psi, args.m, args.k,
-        args.n_test, norm=norm, seed=seed,
+        scenario.model,
+        scenario.x_sampler,
+        scenario.xp_sampler,
+        scenario.psi,
+        args.m,
+        args.k,
+        args.n_test,
+        norm=norm,
+        seed=seed,
     )
 
     def write(out: Path) -> None:

@@ -5,8 +5,8 @@ Carlo error, ``generalization_error_mc``, runs in ``experiments``.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,10 +37,9 @@ class Observable:
     sup_bound: Optional[float] = None
 
     def __post_init__(self):
-        # A NaN bound would pass every value, a negative one none, and a
-        # non-numeric one would fail every call with a TypeError.
+        # A NaN bound would pass every value; a negative or non-numeric one, none.
         bound = self.sup_bound
-        if bound is not None and not (isinstance(bound, numbers.Real) and bound >= 0.0):
+        if bound is not None and not (isinstance(bound, Real) and bound >= 0.0):
             raise InvalidInputError(f"sup_bound must be a nonnegative number, got {bound!r}")
 
     def __call__(self, outputs: np.ndarray) -> np.ndarray:
