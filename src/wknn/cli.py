@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    DEFAULT_NORM,
     InvalidInputError,
     LabeledSample,
     Norm,
@@ -91,7 +92,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     def common(p: argparse.ArgumentParser, *, pair=False, seed=False, threads=False,
                out=False, reps=False) -> None:
         p.add_argument("--config", default=None, help="key=value config file; flags override")
-        p.add_argument("--norm", default="l2", choices=["l1", "l2", "linf"])
+        p.add_argument("--norm", default=DEFAULT_NORM.value, choices=[n.value for n in Norm])
         if pair:
             p.add_argument("--eval", help="evaluation sample CSV (required)")
             p.add_argument("--train", help="training sample CSV (required)")
@@ -155,7 +156,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def _apply_config(parser: argparse.ArgumentParser, commands: dict,
                   argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    if args.config == "":
+        raise InvalidInputError("--config needs a file path, got an empty one")
+    if args.config is not None:
         values = _read_config(Path(args.config))
         sub = commands[args.command]
         dests = {a.dest: a for a in sub._actions}
@@ -246,8 +249,8 @@ def _write_manifest(out: Path, args, extra: dict) -> None:
 
 
 def _read_pair(args) -> tuple[Sample, Sample]:
-    """The --eval and --train samples; a labeled CSV gives its inputs."""
-    missing = [f"--{name}" for name in ("eval", "train") if getattr(args, name) is None]
+    """The --eval and --train samples (an empty path is missing); a labeled CSV gives its inputs."""
+    missing = [f"--{name}" for name in ("eval", "train") if not getattr(args, name)]
     if missing:
         raise InvalidInputError(f"the following arguments are required: {', '.join(missing)}")
     data = [read_sample_csv(args.eval), read_sample_csv(args.train)]

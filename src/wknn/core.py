@@ -19,6 +19,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from pathlib import Path
 from typing import Union
 
@@ -68,12 +69,21 @@ def _trusted(cls, **fields):
     return _freeze(object.__new__(cls), **fields)
 
 
-def _check_q(q: float) -> float:
-    """Transport order q as a float; it must be finite and at least 1."""
-    q = float(q)
-    if not (q >= 1.0 and math.isfinite(q)):
-        raise InvalidInputError(f"q must be a finite real >= 1, got {q}")
-    return q
+def _check_real(value, name: str, low: float = -math.inf, *, above: bool = False) -> float:
+    """``value`` as a float: a finite Python or numpy real >= low (> low when ``above``).
+    Strings (numeric ones too), None, NaN and infinities raise InvalidInputError."""
+    # float and int first: the Real ABC check costs twenty times a float().
+    if isinstance(value, (float, int, Real)):
+        real = float(value)
+        if math.isfinite(real) and (real > low if above else real >= low):
+            return real
+    rule = "number" if low == -math.inf else f"{'>' if above else '>='} {low:g}"
+    raise InvalidInputError(f"{name} must be a finite real {rule}, got {value!r}")
+
+
+def _check_q(q) -> float:
+    """Transport order q as a float; it must be a finite real >= 1."""
+    return _check_real(q, "q", 1.0)
 
 
 def _check_int(value, name: str, low: int = 1, high=None) -> int:
@@ -114,21 +124,19 @@ class Norm(Enum):
     @property
     def p(self) -> float:
         """Minkowski exponent understood by spatial indexes."""
-        if self is Norm.L1:
-            return 1.0
-        if self is Norm.L2:
-            return 2.0
-        return np.inf
+        return {Norm.L1: 1.0, Norm.L2: 2.0, Norm.LINF: np.inf}[self]
 
     @classmethod
     def parse(cls, text: Union[str, "Norm"]) -> "Norm":
+        """The one norm rule: a Norm, or its name in any case ("l1", "L2", "linf")."""
         if isinstance(text, Norm):
             return text
-        key = str(text).strip().lower()
+        key = text.strip().lower() if isinstance(text, str) else None
         for member in cls:
             if member.value == key:
                 return member
-        raise InvalidInputError(f"unknown norm {text!r}; expected one of l1, l2, linf")
+        names = ", ".join(member.value for member in cls)
+        raise InvalidInputError(f"unknown norm {text!r}; expected one of {names}")
 
 
 DEFAULT_NORM = Norm.L2
@@ -137,15 +145,25 @@ DEFAULT_NORM = Norm.L2
 Point = np.ndarray
 
 
+def _finite_array(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array; InvalidInputError unless numpy can
+    convert it (no strings, no ragged lists) and every entry is finite."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what} must be an array of real numbers: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{what} must be finite")
+    return arr
+
+
 def as_point(coords) -> Point:
     """Coerce ``coords`` to a finite 1-D float64 vector of dimension >= 1."""
-    arr = np.asarray(coords, dtype=np.float64)
+    arr = _finite_array(coords, "point coordinates")
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidInputError("a point must be a nonempty 1-D coordinate vector")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("point coordinates must be finite")
     return arr
 
 
@@ -159,13 +177,11 @@ class Sample:
     points: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.points, dtype=np.float64)
+        arr = _finite_array(self.points, "sample coordinates")
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise InvalidInputError("a sample must be a nonempty (n, d) array of coordinates")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("sample coordinates must be finite")
         _freeze(self, points=arr.copy())
 
     @property
@@ -192,7 +208,7 @@ class LabeledSample:
 
     def __post_init__(self):
         _freeze(self, inputs=_as_sample(self.inputs))
-        out = np.asarray(self.outputs, dtype=np.float64)
+        out = _finite_array(self.outputs, "outputs")
         if out.ndim == 1:
             out = out.reshape(-1, 1)
         if out.ndim != 2 or out.shape[1] == 0:
@@ -201,8 +217,6 @@ class LabeledSample:
             raise InvalidInputError(
                 f"outputs rows ({out.shape[0]}) must match inputs size ({self.inputs.size})"
             )
-        if not np.all(np.isfinite(out)):
-            raise InvalidInputError("outputs must be finite")
         _freeze(self, outputs=out.copy())
 
     @property
@@ -223,15 +237,13 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         _freeze(self, points=_as_sample(self.points))
-        masses = np.asarray(self.masses, dtype=np.float64).ravel()
+        masses = _finite_array(self.masses, "masses").ravel()
         if masses.size == 0:
             raise InvalidInputError("a measure needs a nonempty support")
         if masses.size != self.points.size:
             raise InvalidInputError(
                 f"got {masses.size} masses for {self.points.size} support points"
             )
-        if not np.all(np.isfinite(masses)):
-            raise InvalidInputError("masses must be finite")
         if np.any(masses < 0.0):
             raise InvalidInputError("masses must be nonnegative")
         total = float(np.sum(masses))
@@ -266,6 +278,7 @@ def _reduce_norm(diff: np.ndarray, norm: Norm) -> np.ndarray:
     whole package: brute-force search, the accelerated index and the
     transport solver all go through it so their values agree bitwise.
     """
+    norm = Norm.parse(norm)
     if norm is Norm.L1:
         return np.abs(diff).sum(axis=-1)
     if norm is Norm.L2:

@@ -6,12 +6,12 @@ Carlo error, ``generalization_error_mc``, runs in ``experiments``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import DEFAULT_NORM, InvalidInputError, LabeledSample, Norm, Sample, _trusted, as_point
+from .core import _check_real, _freeze
 from .knn import neighbor_table
 from .weights import WeightVector
 
@@ -37,10 +37,9 @@ class Observable:
     sup_bound: Optional[float] = None
 
     def __post_init__(self):
-        # A NaN bound would pass every value; a negative or non-numeric one, none.
-        bound = self.sup_bound
-        if bound is not None and not (isinstance(bound, Real) and bound >= 0.0):
-            raise InvalidInputError(f"sup_bound must be a nonnegative number, got {bound!r}")
+        # None means no bound; a NaN bound would pass every value, a negative one none.
+        if self.sup_bound is not None:
+            _freeze(self, sup_bound=_check_real(self.sup_bound, "sup_bound", 0.0))
 
     def __call__(self, outputs: np.ndarray) -> np.ndarray:
         out = np.asarray(outputs, dtype=np.float64)

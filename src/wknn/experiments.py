@@ -25,6 +25,9 @@ from .core import (
     NumericalError,
     Sample,
     _check_int,
+    _check_q,
+    _check_real,
+    _finite_array,
     _write_table,
     uniform_empirical,
 )
@@ -139,25 +142,15 @@ def _identity_phi(sup_bound: Optional[float]) -> Observable:
     return Observable(fn=_first_coordinate, sup_bound=sup_bound)
 
 
-def _real(p: dict, key: str) -> float:
-    """Scenario parameter ``key`` as a finite float; overrides are outside input."""
-    try:
-        value = float(p[key])
-    except (TypeError, ValueError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise InvalidInputError(f"{key} must be a finite real number, got {p[key]!r}")
-    return value
-
-
 def _sine_gauss(name: str, p: dict, x_sampler, qi: float) -> Scenario:
     """Sine-surface model over the correlated 2-D Gaussian training law of ``p``."""
-    mu, sigma, s = _real(p, "mu"), _real(p, "sigma"), _real(p, "s_corr")
-    if not sigma > 0.0:
-        raise InvalidInputError("sigma must be positive")
+    mu, sigma = _check_real(p["mu"], "mu"), _check_real(p["sigma"], "sigma", 0.0, above=True)
+    s = _check_real(p["s_corr"], "s_corr")
     if not -1.0 < s < 1.0:
         raise InvalidInputError("s_corr must lie in (-1, 1)")
-    noiseless = bool(p["noiseless"])
+    noiseless = p["noiseless"]
+    if not isinstance(noiseless, (bool, np.bool_)):
+        raise InvalidInputError(f"noiseless must be True or False, got {noiseless!r}")
     # A noiseless draw is theta = 0, which leaves the surface bit for bit.
     model = Model(fn=lambda x, theta: _sine_surface(x) * (1.0 + theta),
                   theta_sampler=_zero_theta if noiseless else _uniform_theta)
@@ -183,11 +176,8 @@ def _build_diag_uniform_gauss(p: dict) -> Scenario:
 
 
 def _build_atom_demo(p: dict) -> Scenario:
-    try:
-        x0 = np.asarray(p["x0"], dtype=np.float64)
-    except (TypeError, ValueError):
-        x0 = None
-    if x0 is None or x0.shape != (2,) or not np.isfinite(x0).all():
+    x0 = _finite_array(p["x0"], "x0")
+    if x0.shape != (2,):
         raise InvalidInputError(f"x0 must be a finite point in R^2, got {p['x0']!r}")
 
     def x_sampler(gen, size):
@@ -220,9 +210,8 @@ def _build_identity_1d_uniform(p: dict) -> Scenario:
 
 
 def _build_gauss_gauss(p: dict) -> Scenario:
-    d, sigma, sigma_prime = _check_int(p["d"], "d"), _real(p, "sigma"), _real(p, "sigma_prime")
-    if not (sigma > 0.0 and sigma_prime > 0.0):
-        raise InvalidInputError("gauss_gauss needs positive scales")
+    d, sigma = _check_int(p["d"], "d"), _check_real(p["sigma"], "sigma", 0.0, above=True)
+    sigma_prime = _check_real(p["sigma_prime"], "sigma_prime", 0.0, above=True)
 
     def x_sampler(gen, size):
         return sigma * standard_normal(gen, (size, d))
@@ -320,9 +309,8 @@ class RateFit:
 
 def fit_loglog(points) -> RateFit:
     """OLS fit of log(statistic) against log(abscissa)."""
-    pts = [(float(x), float(y)) for x, y in points]
-    if not all(0.0 < v < math.inf for pt in pts for v in pt):
-        raise InvalidInputError("log-log fit needs finite positive abscissae and ordinates")
+    pts = [(_check_real(x, "log-log abscissa", 0.0, above=True),
+            _check_real(y, "log-log ordinate", 0.0, above=True)) for x, y in points]
     xs = np.array([math.log(x) for x, _ in pts])
     ys = np.array([math.log(y) for _, y in pts])
     if np.unique(xs).size < 2:
@@ -359,7 +347,7 @@ def const_k(k: int) -> KRule:
 
 
 def power_k(alpha: float) -> KRule:
-    alpha = float(alpha)
+    alpha = _check_real(alpha, "alpha")
     return KRule(name=f"power:{alpha:g}", fn=lambda m: math.ceil(m**alpha))
 
 
@@ -487,6 +475,7 @@ def wasserstein_rate_experiment(
     """
     m_grid = _check_m_grid(m_grid)
     n = _check_int(n, "n")
+    q = _check_q(q)
     s_corr = scenario.params.get("s_corr")
 
     def cell(m):
@@ -502,7 +491,7 @@ def wasserstein_rate_experiment(
                 _certify_record(x, xp, table, k, q, norm, stat)
             return (stat,)
 
-        return [(scenario.name, m, n, k, float(q), s_corr)], worker
+        return [(scenario.name, m, n, k, q, s_corr)], worker
 
     records, (summary,) = _run_grid(m_grid, cell, replications, base_seed)
     fit = fit_loglog([(row.key, row.mean) for row in summary]) if len(m_grid) >= 2 else None
@@ -530,9 +519,9 @@ def qi_experiment(
     (m,) = _check_m_grid([m])
     n = _check_int(n, "n")
     k = _check_int(k, "k", 1, m)
+    s_corr_grid = [_check_real(s, "s_corr") for s in s_corr_grid]
 
     def cell(s):
-        s = float(s)
         scn = scenario if scenario.params.get("s_corr") == s else scenario.with_params(s_corr=s)
         return [(scn.name, m, n, k, 2.0, s)], _squared_qi_error(scn, base_seed, n, m, k, norm)
 

@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_NORM, InvalidInputError, Norm, NumericalError, Sample, as_point
-from .core import _as_sample, _check_dims, _check_int, _freeze, _reduce_norm, _trusted
+from .core import DEFAULT_NORM, InvalidInputError, Norm, NumericalError, Sample, _trusted, as_point
+from .core import _as_sample, _check_dims, _check_int, _finite_array, _freeze, _reduce_norm
 
 __all__ = ["NeighborTable", "knn_query", "neighbor_table", "KnnIndex"]
 
@@ -207,8 +207,8 @@ class KnnIndex:
 
     def __init__(self, train: Sample, norm: Norm = DEFAULT_NORM):
         self._train = _as_sample(train).points
-        self._norm = norm
-        self._p = norm.p
+        self._norm = Norm.parse(norm)
+        self._p = self._norm.p
         from scipy.spatial import cKDTree
 
         # Sliding-midpoint splits build faster than median splits and answer
@@ -223,13 +223,11 @@ class KnnIndex:
         only distinct rows. Query rows must be finite; a neighbor distance
         that overflows float64 raises NumericalError.
         """
-        pts = np.asarray(points, dtype=np.float64)
+        pts = _finite_array(points, "query coordinates")
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         _check_dims(pts.shape[1], self._train.shape[1])
         k = _check_int(k, "k", 1, self._train.shape[0])
-        if not np.isfinite(pts).all():
-            raise InvalidInputError("query coordinates must be finite")
         kq = k + 1
         d0, i0 = self._tree.query(pts, k=kq, p=self._p)
         d0 = d0.reshape(len(pts), kq)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DEFAULT_NORM, InvalidInputError, Norm, NumericalError, _check_int, _check_q
+from .core import DEFAULT_NORM, Norm, NumericalError, _check_int, _check_q, _check_real
 from .rng import _mean_stderr, stream
 
 __all__ = [
@@ -53,12 +53,12 @@ def _finite(what: str, compute: Callable[[], float]) -> float:
 def unit_ball_volume(d: int, norm: Norm = DEFAULT_NORM) -> float:
     """Volume of the unit ball of R^d for the given norm."""
     d = _check_int(d, "d")
-    what = f"unit ball volume in dimension {d}"
-    if norm is Norm.L2:
-        return _finite(what, lambda: math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0))
-    if norm is Norm.L1:
-        return _finite(what, lambda: 2.0**d / math.factorial(d))
-    return _finite(what, lambda: 2.0**d)
+    volume = {
+        Norm.L1: lambda: 2.0**d / math.factorial(d),
+        Norm.L2: lambda: math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0),
+        Norm.LINF: lambda: 2.0**d,
+    }[Norm.parse(norm)]
+    return _finite(f"unit ball volume in dimension {d}", volume)
 
 
 def rate_constant(
@@ -67,9 +67,7 @@ def rate_constant(
     """Constant Gamma(1+q/d)/v_d^{q/d} * moment, homogeneous in the moment."""
     q = _check_q(q)
     d = _check_int(d, "d")
-    moment = float(inv_density_moment)
-    if moment <= 0.0:
-        raise InvalidInputError("inv_density_moment must be positive")
+    moment = _check_real(inv_density_moment, "inv_density_moment", 0.0, above=True)
     v_d = unit_ball_volume(d, norm)
     value = _finite("rate constant", lambda: math.gamma(1.0 + q / d) / v_d ** (q / d) * moment)
     return RateConstant(q=q, d=d, v_d=v_d, inv_density_moment=moment, value=value)
@@ -92,10 +90,8 @@ def cdq(q: float, d: int, k_limit) -> float:
 
 def gaussian_moment_check(sigma: float, sigma_prime: float, q: float, d: int) -> bool:
     """Moment condition for centered isotropic Gaussians: sigma'^2 > sigma^2 q/d (strict)."""
-    sigma = float(sigma)
-    sigma_prime = float(sigma_prime)
-    if sigma <= 0.0 or sigma_prime <= 0.0:
-        raise InvalidInputError("scales must be positive")
+    sigma = _check_real(sigma, "sigma", 0.0, above=True)
+    sigma_prime = _check_real(sigma_prime, "sigma_prime", 0.0, above=True)
     q = _check_q(q)
     d = _check_int(d, "d")
     lhs = _finite("sigma'^2", lambda: sigma_prime**2)

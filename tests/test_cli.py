@@ -272,13 +272,26 @@ class TestConfigFile:
         path = {"eval": ev, "train": tr}[given]
         cfg = tmp_path / "half.cfg"
         cfg.write_text(f"{given} = {path}\n")
+        # An empty path, as a flag or as a config value, counts as missing.
+        empty = tmp_path / "empty.cfg"
+        empty.write_text(f"{given} = {path}\n{missing[2:]} =\n")
         before = set(tmp_path.rglob("*"))
-        for argv in (["weights", f"--{given}", path], ["distance", "--config", str(cfg)]):
+        for argv in (["weights", f"--{given}", path], ["distance", "--config", str(cfg)],
+                     ["weights", f"--{given}", path, missing, ""],
+                     ["distance", "--config", str(empty)]):
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: the following arguments are required: {missing}\n"
         assert set(tmp_path.rglob("*")) == before
+
+    def test_empty_config_path_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["rate-exp", "--config", "", "--m-grid", "40,80", "--n", "10",
+                     "--reps", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--config" in captured.err
+        assert not out.exists()
 
 
 class TestInvalidFlags:

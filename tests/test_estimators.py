@@ -60,7 +60,7 @@ class TestQiHat:
         with pytest.raises(InvalidInputError):
             qi_hat(hand_weight_vector(), np.array([3.0, 6.0]), phi)
 
-    @pytest.mark.parametrize("bound", [math.nan, -1.0, "1"])
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0, "1"])
     def test_nan_or_negative_sup_bound_rejected(self, bound):
         # A NaN bound would pass every value, a negative one would fail every call.
         with pytest.raises(InvalidInputError, match="sup_bound"):

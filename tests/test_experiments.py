@@ -74,6 +74,8 @@ class TestBuiltinScenarios:
             ("diag_uniform_gauss", {"sigma": 1e-200}),  # sigma**4 underflows to 0
             ("gauss_gauss", {"sigma_prime": 1e200}),
             ("gauss_gauss", {"sigma_prime": 1e-200}),
+            ("diag_uniform_gauss", {"noiseless": "false"}),  # a truthy string
+            ("atom_demo", {"noiseless": None}),
         ],
     )
     def test_bad_override_values_rejected(self, name, overrides):
